@@ -27,10 +27,11 @@
 //  4. `shards_armed_*` — the 4-shard leaf-spine point re-run with the
 //     full observer plane armed (tracer + invariant checker + shard
 //     profiler, all riding the per-shard journal of DESIGN.md §17)
-//     against the unarmed 4-shard leg.  The armed run must stay on the
-//     concurrent driver, reproduce the serial digest, and cost at most
-//     1.15x (gated).  The profiler's shard/* metrics land in the JSON
-//     under `shard_profile_metrics`.
+//     against the unarmed 4-shard leg and an armed 1-shard leg.  The
+//     armed run must execute BSP epochs, reproduce the 1-shard digest,
+//     and cost at most 1.15x the armed 1-shard run (gated).  The
+//     profiler's shard/* metrics land in the JSON under
+//     `shard_profile_metrics`.
 #include <algorithm>
 #include <chrono>
 #include <cinttypes>
@@ -347,13 +348,11 @@ struct SweepPoint {
 };
 
 /// Observer plane for a sweep point.  Everything rides the per-shard
-/// journal (DESIGN.md §17), so arming must not change the digest OR
-/// drop the run back to the serial driver.
+/// journal (DESIGN.md §17), so arming must not change the digest.
 struct ArmedOpts {
   bool tracer = false;
   bool checker = false;
-  bool profile = false;
-  bool serial_observers = false;  // OBJRPC_OBS_SERIAL-style fallback
+  bool profile = false;  // needs the parallel runner (shards > 1)
 };
 
 /// One sweep run: build the fabric, partition it, arm the wire digest,
@@ -364,7 +363,6 @@ SweepPoint run_sweep_point(std::uint32_t shards, std::uint64_t packets,
                            BuildFn build, const ArmedOpts& armed = {}) {
   Network net(2026);
   if (armed.profile) net.arm_shard_profiler();  // before enable_sharding
-  if (armed.serial_observers) net.set_observer_serial(true);
   std::optional<check::InvariantChecker> checker;
   if (armed.checker) checker.emplace(net);
   const std::vector<NodeId> hosts = build(net, shards);
@@ -533,22 +531,24 @@ int main() {
   json.value("shards_digest_match", digests_ok ? 1.0 : 0.0);
 
   // --- armed-observer overhead at 4 shards (DESIGN.md §17) ------------------
-  // Three legs, all 4-shard on the leaf-spine workload:
-  //   unarmed      — wire digest only (the sweep's configuration);
-  //   armed+serial — tracer + checker + profiler with the observers
-  //                  forced onto the serial driver (the pre-§17 world);
-  //   armed        — same observers on the concurrent driver, deferring
-  //                  into the per-shard journal.
-  // `shards_armed_overhead_4` is armed-concurrent time over armed-serial
-  // time: the price of the journal's defer/copy/replay machinery
-  // relative to inline serial observation.  That is the §17 claim the
-  // gate caps at ≤1.15x — the cost of the OBSERVATIONS themselves
-  // (checker frame decode, span records) is identical in both legs and
-  // is reported separately, ungated, as `shards_armed_cost_4` against
-  // the unarmed leg.
+  // Three legs on the leaf-spine workload:
+  //   unarmed        — 4 shards, wire digest only (the sweep's
+  //                    configuration);
+  //   armed 1-shard  — tracer + checker observing inline on the single
+  //                    wheel (no profiler: it profiles the runner);
+  //   armed          — 4 shards, tracer + checker + profiler on the
+  //                    parallel driver, deferring into the per-shard
+  //                    journal.
+  // `shards_armed_overhead_4` is armed 4-shard time over armed 1-shard
+  // time: the price of the journal's defer/copy/replay machinery (and of
+  // the epochs themselves) relative to inline single-wheel observation.
+  // That is the §17 claim the gate caps at ≤1.15x — the cost of the
+  // OBSERVATIONS themselves (checker frame decode, span records) is
+  // identical in both legs and is reported separately, ungated, as
+  // `shards_armed_cost_4` against the unarmed leg.
   std::printf("\nsimcore: armed-observer overhead (4 shards, best of 2)\n\n");
-  double unarmed_eps = 0, armed_eps = 0, armed_serial_eps = 0;
-  std::uint64_t unarmed_digest = 0, armed_digest = 0, serial_digest = 0;
+  double unarmed_eps = 0, armed_eps = 0, armed_1shard_eps = 0;
+  std::uint64_t unarmed_digest = 0, armed_digest = 0, armed_1shard_digest = 0;
   std::uint64_t armed_epochs = 0;
   std::string profile_metrics;
   for (int rep = 0; rep < 2; ++rep) {
@@ -564,25 +564,24 @@ int main() {
     armed_digest = a.digest;
     armed_epochs = a.epochs;
     if (!a.metrics_json.empty()) profile_metrics = std::move(a.metrics_json);
-    ArmedOpts serial = all;
-    serial.profile = false;  // profiler needs the concurrent driver
-    serial.serial_observers = true;
-    const SweepPoint s = run_sweep_point(4, kSweepPackets, ls_build, serial);
-    armed_serial_eps = std::max(armed_serial_eps, s.events_per_sec);
-    serial_digest = s.digest;
+    ArmedOpts one = all;
+    one.profile = false;
+    const SweepPoint s = run_sweep_point(1, kSweepPackets, ls_build, one);
+    armed_1shard_eps = std::max(armed_1shard_eps, s.events_per_sec);
+    armed_1shard_digest = s.digest;
   }
-  const double armed_overhead = armed_serial_eps / armed_eps;
+  const double armed_overhead = armed_1shard_eps / armed_eps;
   const double armed_cost = unarmed_eps / armed_eps;
   const bool armed_digest_ok = armed_digest == unarmed_digest &&
-                               armed_digest == serial_digest &&
+                               armed_digest == armed_1shard_digest &&
                                armed_digest == ls_serial_digest;
-  // epochs > 0 proves the armed leg really ran the BSP worker protocol
-  // rather than silently falling back to the serial key-merge driver.
+  // epochs > 0 proves the armed leg really ran BSP epochs on the
+  // worker threads.
   const bool armed_concurrent = armed_epochs > 0;
   std::printf("%28s%16.3g\n", "unarmed_events_per_sec", unarmed_eps);
   std::printf("%28s%16.3g\n", "armed_events_per_sec", armed_eps);
-  std::printf("%28s%16.3g\n", "armed_serial_events_per_sec",
-              armed_serial_eps);
+  std::printf("%28s%16.3g\n", "armed_1shard_events_per_sec",
+              armed_1shard_eps);
   std::printf("%28s%16.3f\n", "armed_overhead", armed_overhead);
   std::printf("%28s%16.3f\n", "armed_cost_vs_unarmed", armed_cost);
   std::printf("%28s%16" PRIu64 "\n", "armed_epochs", armed_epochs);
@@ -590,7 +589,7 @@ int main() {
               armed_digest_ok ? "yes" : "NO");
   json.value("shards_unarmed_events_per_sec_4", unarmed_eps);
   json.value("shards_armed_events_per_sec_4", armed_eps);
-  json.value("shards_armed_serial_events_per_sec_4", armed_serial_eps);
+  json.value("shards_armed_1shard_events_per_sec", armed_1shard_eps);
   json.value("shards_armed_overhead_4", armed_overhead);
   json.value("shards_armed_cost_4", armed_cost);
   json.value("shards_armed_epochs_4", static_cast<double>(armed_epochs));
@@ -623,14 +622,12 @@ int main() {
   }
   if (!armed_digest_ok) {
     std::fprintf(stderr,
-                 "simcore: armed 4-shard digest diverged from the serial "
-                 "run\n");
+                 "simcore: armed digest diverged from the 1-shard run\n");
     return 1;
   }
   if (!armed_concurrent) {
     std::fprintf(stderr,
-                 "simcore: armed 4-shard leg fell back to the serial "
-                 "driver\n");
+                 "simcore: armed 4-shard leg ran no BSP epochs\n");
     return 1;
   }
   return 0;

@@ -2,6 +2,6 @@
 
 namespace objrpc {
 
-thread_local std::uint32_t ExecLane::idx = 0;
+constinit thread_local std::uint32_t ExecLane::idx = 0;
 
 }  // namespace objrpc

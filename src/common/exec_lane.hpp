@@ -18,7 +18,10 @@ namespace objrpc {
 struct ExecLane {
   /// Lane of the code currently executing on this thread.  Written only
   /// by the event-loop dispatch (sim/event_loop.cpp, sim/shard.cpp).
-  static thread_local std::uint32_t idx;
+  /// constinit: every TU then accesses it directly instead of through
+  /// the cross-TU TLS init wrapper, whose inlined form UBSan reports as
+  /// a null store in optimised sanitizer builds.
+  static constinit thread_local std::uint32_t idx;
 };
 
 /// Current lane clamped to a component's configured lane count (lets a

@@ -3,7 +3,8 @@
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
-#include <string_view>
+
+#include "common/env_flag.hpp"
 
 namespace objrpc {
 
@@ -11,8 +12,7 @@ namespace {
 
 bool invariants_enabled(const ClusterConfig& cfg) {
   if (cfg.check_invariants >= 0) return cfg.check_invariants != 0;
-  const char* env = std::getenv("CHECK_INVARIANTS");
-  return env != nullptr && *env != '\0' && std::string_view(env) != "0";
+  return env_flag("CHECK_INVARIANTS");
 }
 
 /// Resolve an export path: explicit config wins, else the environment
@@ -114,11 +114,10 @@ std::unique_ptr<Cluster> Cluster::build(const ClusterConfig& cfg) {
   // Multi-core opt-in (OBJRPC_SHARDS=N): partition the fabric with the
   // generic switch-group planner.  Last build step, after every node
   // exists.  Armed observers (the invariant checker's taps, an armed
-  // tracer) no longer force the serial driver: their observations defer
-  // into the per-shard journal and replay in canonical order at each
-  // barrier, so the run stays concurrent and the event order, wire
-  // bytes, and trace files are identical either way (DESIGN.md §17;
-  // OBJRPC_OBS_SERIAL=1 restores the old serialized behaviour).
+  // tracer) keep the run concurrent: their observations defer into the
+  // per-shard journal and replay in canonical order at each barrier, so
+  // the event order, wire bytes, and trace files match the 1-shard run
+  // (DESIGN.md §17).
   cluster->fabric_->network().maybe_shard_from_env();
   return cluster;
 }

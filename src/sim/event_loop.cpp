@@ -6,16 +6,12 @@
 #include <cstdlib>
 #include <utility>
 
+#include "common/env_flag.hpp"
 #include "common/exec_lane.hpp"
 
 namespace objrpc {
 
 namespace {
-
-bool env_truthy(const char* name) {
-  const char* v = std::getenv(name);
-  return v != nullptr && v[0] != '\0' && !(v[0] == '0' && v[1] == '\0');
-}
 
 SimTime clamp_bound(std::uint64_t b) {
   const auto mx =
@@ -97,9 +93,10 @@ void TimingWheel::schedule(SimTime at, std::uint64_t key_a,
 void TimingWheel::place(std::uint32_t idx, bool cascading) {
   const auto at = static_cast<std::uint64_t>(entries_[idx].at);
   if (!cascading && at < tick_) {
-    // Cursor rollback: the serial key-merge peeks every wheel's next
-    // event, which can park an idle wheel's cursor well past the global
-    // execution point; a cross-wheel schedule may then land behind it.
+    // Cursor rollback: step() and the parallel coordinator peek every
+    // wheel's next event, which can park an idle wheel's cursor well
+    // past the global execution point; a cross-wheel schedule may then
+    // land behind it.
     // Moving the cursor back is safe — nothing between `at` and the old
     // cursor has executed — but level-0 slots become window-ambiguous,
     // which next_time resolves by checking entry times (and place by
@@ -456,7 +453,7 @@ void TimingWheel::extract_all(std::vector<Extracted>& out) {
 
 EventLoop::EventLoop() : control_(this, /*lane=*/1) {
   wheels_.push_back(std::make_unique<TimingWheel>(this, /*lane=*/0));
-  set_strict_past_schedules(env_truthy("CHECK_INVARIANTS"));
+  set_strict_past_schedules(env_flag("CHECK_INVARIANTS"));
 }
 
 EventLoop::~EventLoop() = default;
@@ -573,49 +570,6 @@ void EventLoop::configure_shards(std::uint32_t shards,
   }
 }
 
-void EventLoop::run_shards_serial(SimTime limit) {
-  if (limit < 0) return;
-  if (wheels_.size() == 1) {
-    TimingWheel& w = *wheels_[0];
-    w.run_until(limit);
-    if (w.now() > global_now_) global_now_ = w.now();
-    return;
-  }
-  merge_run(limit);
-}
-
-void EventLoop::merge_run(SimTime limit) {
-  // Serialized-canonical execution across K wheels: repeatedly run the
-  // event with the globally smallest (at, key_a, key_b).  This is the
-  // order the key design defines for EVERY mode, so observers (taps,
-  // the invariant checker, the tracer) see exactly the 1-shard stream.
-  for (;;) {
-    TimingWheel* best = nullptr;
-    SimTime best_at = 0;
-    std::uint64_t best_a = 0;
-    std::uint64_t best_b = 0;
-    for (auto& up : wheels_) {
-      TimingWheel* w = up.get();
-      const SimTime t = w->next_time(limit);
-      if (t == kNoEventTime) continue;
-      std::uint64_t a = 0;
-      std::uint64_t b = 0;
-      w->head_key(a, b);
-      if (best == nullptr || t < best_at ||
-          (t == best_at &&
-           (a < best_a || (a == best_a && b < best_b)))) {
-        best = w;
-        best_at = t;
-        best_a = a;
-        best_b = b;
-      }
-    }
-    if (best == nullptr) return;
-    best->pop_run();
-    if (best_at > global_now_) global_now_ = best_at;
-  }
-}
-
 void EventLoop::drain_control_at(SimTime tc) {
   if (tc > global_now_) global_now_ = tc;
   control_.set_now(tc);
@@ -648,11 +602,23 @@ void EventLoop::ObserverReplayScope::advance(SimTime at) {
 }
 
 void EventLoop::run_core(SimTime deadline) {
+  if (wheels_.size() != 1) {
+    std::fprintf(stderr,
+                 "EventLoop: %zu shard wheels but no parallel driver "
+                 "(Network::enable_sharding installs one)\n",
+                 wheels_.size());
+    std::abort();
+  }
+  TimingWheel& w = *wheels_[0];
   for (;;) {
     const SimTime tc = control_.next_time(deadline);
     // Shard events strictly before the next control time: control
     // events (lane 0) precede shard events (lane 1) at the same tick.
-    run_shards_serial(tc == kNoEventTime ? deadline : tc - 1);
+    const SimTime limit = tc == kNoEventTime ? deadline : tc - 1;
+    if (limit >= 0) {
+      w.run_until(limit);
+      if (w.now() > global_now_) global_now_ = w.now();
+    }
     if (tc == kNoEventTime) return;
     drain_control_at(tc);
   }
@@ -693,7 +659,7 @@ bool EventLoop::step() {
 }
 
 void EventLoop::run() {
-  if (driver_ != nullptr && driver_->ready()) {
+  if (driver_ != nullptr) {
     driver_->run_until(std::numeric_limits<SimTime>::max());
   } else {
     run_core(std::numeric_limits<SimTime>::max());
@@ -703,7 +669,7 @@ void EventLoop::run() {
 }
 
 void EventLoop::run_until(SimTime deadline) {
-  if (driver_ != nullptr && driver_->ready()) {
+  if (driver_ != nullptr) {
     driver_->run_until(deadline);
   } else {
     run_core(deadline);

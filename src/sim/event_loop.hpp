@@ -58,10 +58,11 @@ constexpr SimTime kNoEventTime = -1;
 /// not a registered node (test drivers, main(), the coordinator).
 constexpr std::uint32_t kExternalSource = 0x00FFFFFFu;
 
-/// One hierarchical timing wheel.  The single-threaded loop owns one
-/// control wheel plus K shard wheels and drives them by key-merge; the
-/// parallel runner (sim/shard) hands each shard wheel to a worker
-/// thread, which acquires its ShardCap for the duration of an epoch.
+/// One hierarchical timing wheel.  The loop owns one control wheel plus
+/// K shard wheels.  With K = 1 it drives its one shard wheel itself;
+/// with K > 1 the parallel runner (sim/shard) hands each shard wheel to
+/// a worker thread, which acquires its ShardCap for the duration of an
+/// epoch.
 class TimingWheel {
  public:
   using Callback = SmallFn;
@@ -84,9 +85,9 @@ class TimingWheel {
   /// and counted, or aborted under strict mode); `at < now_` after that
   /// is a lookahead violation by the parallel runner (same handling,
   /// different message).  Public wheel operations assert the shard
-  /// capability internally: the serial driver's single thread holds
-  /// every wheel by definition, the parallel runner's workers hold
-  /// exactly the one they acquired.
+  /// capability internally: the single-wheel loop's thread holds every
+  /// wheel by definition, the parallel runner's workers hold exactly
+  /// the one they acquired.
   HOT_PATH void schedule(SimTime at, std::uint64_t key_a, std::uint64_t key_b,
                          std::uint32_t exec_src, SimTime floor, Callback fn);
 
@@ -126,8 +127,8 @@ class TimingWheel {
     strict_past_schedules_ = strict;
   }
 
-  /// The shard capability guarding this wheel's state.  The serial
-  /// driver asserts it (single thread holds every wheel); the parallel
+  /// The shard capability guarding this wheel's state.  The single-
+  /// wheel loop asserts it (one thread holds every wheel); the parallel
   /// runner's workers acquire it for real, one wheel per thread.
   ShardCap& shard() SHARD_RETURN_CAPABILITY(shard_) { return shard_; }
 
@@ -214,9 +215,9 @@ class TimingWheel {
   std::uint64_t tick_ SHARD_GUARDED_BY(shard_) = 0;
   /// Tick whose level-0 bucket is currently key-sorted (kNoTick: none).
   std::uint64_t sorted_tick_ SHARD_GUARDED_BY(shard_) = kNoTick;
-  /// Lower bound on every pending event time.  Lets the serial merge
-  /// and the parallel coordinator ask "anything <= limit?" of an idle
-  /// wheel without re-scanning its windows each iteration.
+  /// Lower bound on every pending event time.  Lets step() and the
+  /// parallel coordinator ask "anything <= limit?" of an idle wheel
+  /// without re-scanning its windows each iteration.
   SimTime min_bound_ SHARD_GUARDED_BY(shard_) = 0;
   std::size_t size_ = 0;
   std::uint64_t executed_ = 0;
@@ -323,7 +324,9 @@ class EventLoop {
     tls_ctx_ = saved;
   }
 
-  /// Run one event; returns false when every wheel is empty.
+  /// Run one event — the canonical-key minimum across every wheel, on
+  /// the calling thread at any K (no BSP epoch can run exactly one
+  /// event).  Returns false when every wheel is empty.
   bool step();
   /// Run until every wheel drains.
   void run();
@@ -352,13 +355,11 @@ class EventLoop {
   TimingWheel& wheel(std::uint32_t i) { return *wheels_[i]; }
   TimingWheel& control_wheel() { return control_; }
 
-  /// Installed by sim/shard's ShardRunner.  When ready() says the run
-  /// may be concurrent, run_until/run delegate whole segments to it;
-  /// otherwise the facade's serial key-merge drives the wheels (same
-  /// order, one thread).
+  /// Installed by sim/shard's ShardRunner whenever the loop has K > 1
+  /// shard wheels; run_until/run then delegate whole segments to it.
+  /// K = 1 runs on the facade's own single-wheel loop.
   struct ParallelDriver {
     virtual ~ParallelDriver() = default;
-    virtual bool ready() = 0;
     virtual void run_until(SimTime deadline) = 0;
   };
   void set_parallel_driver(ParallelDriver* d) { driver_ = d; }
@@ -447,13 +448,11 @@ class EventLoop {
     return (next_seq(src) << 24) | (src & 0x00FFFFFFu);
   }
 
-  /// Run every shard event with time <= limit (serial: key-merge when
-  /// K > 1, tight loop when K == 1).
-  void run_shards_serial(SimTime limit);
-  void merge_run(SimTime limit);
   /// Drain every control event at exactly time `tc` (children at tc
   /// included — they sort after their parents by seq).
   void drain_control_at(SimTime tc);
+  /// The K = 1 driver: alternate the shard wheel's tight loop with
+  /// control drains up to `deadline`.
   void run_core(SimTime deadline);
   /// Floor every wheel clock and the global clock to `t`.
   void settle_clocks(SimTime t);
@@ -472,8 +471,8 @@ class EventLoop {
   DrainHook drain_hook_;
 
   friend class TimingWheel;
-  /// The parallel runner drives the private serial helpers (control
-  /// drain) and the wheel set directly from its coordinator loop.
+  /// The parallel runner drives the private control drain and the wheel
+  /// set directly from its coordinator loop.
   friend class ShardRunner;
 };
 

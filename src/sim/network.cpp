@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "common/env_flag.hpp"
 #include "common/log.hpp"
 #include "sim/shard.hpp"
 
@@ -30,11 +31,6 @@ std::uint64_t mix64(std::uint64_t x) {
 
 constexpr std::uint64_t kWireDigestSeed = 0x9E3779B97F4A7C15ull;
 
-bool env_truthy(const char* name) {
-  const char* v = std::getenv(name);
-  return v != nullptr && v[0] != '\0' && !(v[0] == '0' && v[1] == '\0');
-}
-
 }  // namespace
 
 Network::Network(std::uint64_t seed)
@@ -48,7 +44,6 @@ Network::Network(std::uint64_t seed)
         EventLoop::current_event_key(ka, kb);
       });
   tracer_.bind_journal(&journal_);
-  obs_serial_forced_ = env_truthy("OBJRPC_OBS_SERIAL");
   metrics_.add_source("net/frames_sent",
                       [this] { return stats().frames_sent; });
   metrics_.add_source("net/frames_delivered",
@@ -461,7 +456,7 @@ std::uint32_t Network::enable_sharding(const ShardPlan& plan) {
   if (shards > 1) {
     runner_ = std::make_unique<ShardRunner>(*this, plan.lookahead, shards);
     loop_.set_parallel_driver(runner_.get());
-    if (shard_profile_requested_ || env_truthy("OBJRPC_SHARD_PROFILE")) {
+    if (shard_profile_requested_ || env_flag("OBJRPC_SHARD_PROFILE")) {
       shard_profiler_.arm(metrics_, shards);
       tracer_.set_aux_chrome_source(
           [this] { return shard_profiler_.chrome_events(); });

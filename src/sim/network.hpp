@@ -194,9 +194,9 @@ class Network {
 
   /// Enqueue a frame for transmission (called via NetworkNode::send).
   /// HOT_PATH: one call per frame per hop.  CROSS_SHARD: the delivery
-  /// lands on the destination's shard — same-shard (or serialized) as a
-  /// direct wheel insert, cross-shard in a concurrent run through the
-  /// runner's bounded handoff rings.
+  /// lands on the destination's shard — same-shard (or outside an
+  /// epoch) as a direct wheel insert, cross-shard in a concurrent run
+  /// through the runner's bounded handoff rings.
   HOT_PATH CROSS_SHARD void transmit(NodeId from, PortId port, Packet pkt);
 
   /// Recycled payload buffers (DESIGN.md §14).  The fabric releases the
@@ -226,10 +226,10 @@ class Network {
     for (StatsLane& lane : stats_lanes_) lane.s = TrafficStats{};
   }
 
-  /// Observation hook for tests: sees every delivered frame.  Under the
-  /// concurrent driver taps run at barrier replay in canonical order
-  /// (observer_journal() below), so attaching one no longer serializes
-  /// the run; OBJRPC_OBS_SERIAL=1 restores the old behaviour.
+  /// Observation hook for tests: sees every delivered frame.  In a
+  /// sharded run taps run at barrier replay in canonical order
+  /// (observer_journal() below), so attaching one never serializes the
+  /// run.
   using PacketTap =
       std::function<void(NodeId from, NodeId to, const Packet&)>;
   void set_tap(PacketTap tap) { tap_ = std::move(tap); }
@@ -252,26 +252,6 @@ class Network {
   std::uint32_t maybe_shard_from_env();
   std::uint32_t shard_count() const { return loop_.shard_count(); }
   ShardRunner* runner() { return runner_.get(); }
-
-  /// True when a run may execute shards on concurrent worker threads.
-  /// Observers — taps (the invariant checker attaches as one), the node
-  /// observer, an armed tracer — no longer force the serial driver:
-  /// they see fabric-global event order via the observer journal, which
-  /// defers their callbacks during an epoch and replays them at the
-  /// barrier in canonical key order (DESIGN.md §17).  Escape hatches,
-  /// in precedence order: OBJRPC_SHARDS_SERIAL=1 serializes the whole
-  /// driver (ShardRunner::ready), and OBJRPC_OBS_SERIAL=1 (or
-  /// set_observer_serial) only gives up concurrency when observers are
-  /// attached — the pre-§17 behaviour.
-  bool concurrent_allowed() const {
-    if (shard_count() <= 1) return false;
-    if (!obs_serial_forced_) return true;
-    return !tap_ && extra_taps_.empty() && !node_observer_ &&
-           !tracer_.armed();
-  }
-  /// Force serialized execution whenever an observer is attached (the
-  /// OBJRPC_OBS_SERIAL escape hatch; tests use the setter).
-  void set_observer_serial(bool on) { obs_serial_forced_ = on; }
 
   /// The shard-safe observer plane (DESIGN.md §17): concurrent epochs
   /// journal observer callbacks per lane; the coordinator replays them
@@ -331,7 +311,7 @@ class Network {
     /// Cumulative wire bytes ever sent into this direction.  The tracer
     /// samples this (not the lane-merged global total, which would
     /// depend on worker interleaving and shard count) so armed
-    /// concurrent traces are byte-identical to serial ones.
+    /// concurrent traces are byte-identical to 1-shard ones.
     std::uint64_t bytes_sent_total = 0;
     /// Cached tracer counter-track names (built on first armed sample;
     /// avoids two string constructions per frame).
@@ -403,8 +383,6 @@ class Network {
   obs::ShardJournal journal_;
   obs::ShardProfiler shard_profiler_;
   bool shard_profile_requested_ = false;
-  /// OBJRPC_OBS_SERIAL: observers force the serial driver (pre-§17).
-  bool obs_serial_forced_ = false;
   std::function<void()> barrier_hook_;
   std::vector<std::unique_ptr<NetworkNode>> nodes_;
   /// ports_[node][port] -> outgoing direction state.
@@ -436,9 +414,9 @@ class Network {
   std::uint64_t frame_id_stride_ = 1;
   std::uint64_t frame_id_base_ = 0;
 
-  // Wire digest state.  Serialized runs fold inline (chain/count);
-  // concurrent runs buffer per lane and the coordinator merges at
-  // barriers.
+  // Wire digest state.  Deliveries outside an epoch fold inline
+  // (chain/count); concurrent epochs buffer per lane and the
+  // coordinator merges at barriers.
   bool wire_digest_armed_ = false;
   /// Set by the runner for the duration of an epoch (workers parked at
   /// both edges, so no torn reads).

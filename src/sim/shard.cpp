@@ -1,7 +1,6 @@
 #include "sim/shard.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 
 #include "common/exec_lane.hpp"
 #include "common/log.hpp"
@@ -15,11 +14,6 @@ namespace {
 /// traffic of one epoch (bounded by lookahead * per-link rate) stays on
 /// the lock-free path; bursts beyond it degrade to the spill mutex.
 constexpr std::size_t kDefaultRingCapacity = 4096;
-
-bool env_truthy(const char* name) {
-  const char* v = std::getenv(name);
-  return v != nullptr && v[0] != '\0' && v[0] != '0';
-}
 
 }  // namespace
 
@@ -140,7 +134,6 @@ ShardRunner::ShardRunner(Network& net, SimDuration lookahead,
       rings_(shards),
       ring_capacity_(kDefaultRingCapacity) {
   for (Ring& r : rings_) r.buf.reserve(ring_capacity_);
-  if (env_truthy("OBJRPC_SHARDS_SERIAL")) serial_forced_ = true;
   threads_.reserve(shards_);
   for (std::uint32_t i = 0; i < shards_; ++i) {
     threads_.emplace_back([this, i] { worker_main(i); });
@@ -154,10 +147,6 @@ ShardRunner::~ShardRunner() {
   }
   cv_work_.notify_all();
   for (std::thread& t : threads_) t.join();
-}
-
-bool ShardRunner::ready() {
-  return !serial_forced_ && net_.concurrent_allowed();
 }
 
 void ShardRunner::run_until(SimTime deadline) {
@@ -224,7 +213,7 @@ void ShardRunner::run_epoch(SimTime limit) {
     epoch_limit_ = limit;
     in_epoch_ = true;
     // Deliveries during the epoch buffer per lane; every other digest
-    // fold (control events, serial segments) is inline.  Observer
+    // fold (control events, step()) is inline.  Observer
     // callbacks likewise journal during the epoch and run inline
     // everywhere else.
     net_.wire_digest_buffering_ = net_.wire_digest_armed_;

@@ -16,7 +16,7 @@
 // Determinism (the non-negotiable): event ORDER is a pure function of
 // the canonical key set (see sim/event_loop.hpp), and every key is
 // assigned by its sender's own clock and seq counter — identical in
-// serial and parallel runs.  Cross-shard frames carry their key through
+// 1-shard and K-shard runs.  Cross-shard frames carry their key through
 // the rings and are inserted with it intact, so a 1-, 2-, 4- and
 // 8-shard run of the same seed produces a byte-identical wire digest.
 // tests/shard_test.cpp and the bench sweep enforce this.
@@ -87,11 +87,8 @@ struct ShardPlan {
 
 /// Drives K shard wheels on K worker threads in conservative-lookahead
 /// epochs.  Installed by Network::enable_sharding as the event loop's
-/// ParallelDriver; consulted only when Network::concurrent_allowed()
-/// holds (true even with armed observers since §17 — their
-/// observations defer into the shard journal and replay at the
-/// barrier), otherwise the loop's serial key-merge produces the
-/// identical order on one thread.
+/// ParallelDriver for every K > 1 run, observed or not: armed observers
+/// defer into the shard journal and replay at the barrier (§17).
 class ShardRunner final : public EventLoop::ParallelDriver {
  public:
   ShardRunner(Network& net, SimDuration lookahead, std::uint32_t shards);
@@ -100,7 +97,6 @@ class ShardRunner final : public EventLoop::ParallelDriver {
   ShardRunner& operator=(const ShardRunner&) = delete;
 
   /// EventLoop::ParallelDriver.
-  bool ready() override;
   void run_until(SimTime deadline) override;
 
   /// Cross-shard frame handoff, called by Network::transmit from a
@@ -109,8 +105,8 @@ class ShardRunner final : public EventLoop::ParallelDriver {
   /// any other thread), then parks the frame in the executing lane's
   /// bounded ring for the coordinator to insert at the next barrier.
   /// Returns false when the frame should be scheduled directly instead:
-  /// not inside a concurrent epoch (serial / control / coordinator
-  /// context), or the destination lives on the sender's own shard.
+  /// not inside a concurrent epoch (control / coordinator context, or
+  /// step()), or the destination lives on the sender's own shard.
   /// Ring drain order across lanes is irrelevant: insertion carries the
   /// canonical key, and key order — not insertion order — decides
   /// execution order.
@@ -174,10 +170,6 @@ class ShardRunner final : public EventLoop::ParallelDriver {
   const SimDuration lookahead_;
   const std::uint32_t shards_;
   SimDuration horizon_override_ = 0;
-  /// OBJRPC_SHARDS_SERIAL kill switch: keep the partition (and its
-  /// laned allocators) but never go concurrent — the serial key-merge
-  /// escape hatch for debugging.
-  bool serial_forced_ = false;
 
   /// CROSS_SHARD by construction: every field below the rings is either
   /// written only at barriers (coordinator, workers parked) or guarded

@@ -1,5 +1,5 @@
 // Unit and property tests for the common substrate: U128, RNG, byte
-// buffers, results, stats.
+// buffers, results, stats, env switches.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -8,6 +8,7 @@
 #include <unordered_set>
 
 #include "common/bytes.hpp"
+#include "common/env_flag.hpp"
 #include "common/flat_table.hpp"
 #include "common/pool.hpp"
 #include "common/result.hpp"
@@ -620,6 +621,21 @@ TEST(BufferPool, RetentionCapDropsBurstBuffers) {
   EXPECT_EQ(pool.stats().dropped, 1u);
   pool.release(Bytes());  // capacity 0: nothing worth retaining
   EXPECT_EQ(pool.idle(), 2u);
+}
+
+TEST(EnvFlag, OnlyUnsetEmptyAndZeroAreOff) {
+  constexpr const char* kVar = "OBJRPC_ENV_FLAG_TEST";
+  unsetenv(kVar);
+  EXPECT_FALSE(env_flag(kVar));
+  setenv(kVar, "", 1);
+  EXPECT_FALSE(env_flag(kVar));
+  setenv(kVar, "0", 1);
+  EXPECT_FALSE(env_flag(kVar));
+  setenv(kVar, "00", 1);
+  EXPECT_TRUE(env_flag(kVar));
+  setenv(kVar, "1", 1);
+  EXPECT_TRUE(env_flag(kVar));
+  unsetenv(kVar);
 }
 
 }  // namespace

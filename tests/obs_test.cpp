@@ -16,6 +16,7 @@
 #include "core/cluster.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "sim/shard.hpp"
 
 using namespace objrpc;
 
@@ -240,7 +241,7 @@ struct ObsProducts {
   std::uint64_t checker_digest = 0;
   std::uint64_t checker_events = 0;
   std::size_t spans = 0;
-  bool concurrent = false;
+  bool concurrent = false;  // the runner drove at least one BSP epoch
 };
 
 ObsProducts run_armed_fetch(std::uint64_t seed, const char* shards_env,
@@ -252,8 +253,9 @@ ObsProducts run_armed_fetch(std::uint64_t seed, const char* shards_env,
   }
   auto cluster = run_fetch_scenario(seed, tracer, checker ? 1 : 0);
   ObsProducts out;
-  out.concurrent = cluster->fabric().network().concurrent_allowed() &&
-                   cluster->fabric().network().shard_count() > 1;
+  if (const ShardRunner* runner = cluster->fabric().network().runner()) {
+    out.concurrent = runner->epochs() > 0;
+  }
   if (tracer) {
     out.trace_json = cluster->tracer().chrome_trace_json();
     out.spans = cluster->tracer().spans().size();
@@ -287,7 +289,7 @@ TEST_P(ArmedConcurrent, ShardedRunMatchesSerialByteForByte) {
   if (checker) ASSERT_GT(base.checker_events, 0u);
   for (const char* n : {"2", "4", "8"}) {
     const ObsProducts p = run_armed_fetch(29, n, tracer, checker);
-    // Armed observers must NOT force the serial driver (§17)...
+    // Armed observers run on the parallel driver (§17)...
     EXPECT_TRUE(p.concurrent) << "OBJRPC_SHARDS=" << n;
     // ...yet every observation product is byte-identical.
     EXPECT_EQ(p.trace_json, base.trace_json) << "OBJRPC_SHARDS=" << n;

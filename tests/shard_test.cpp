@@ -45,8 +45,6 @@ struct FabricOpts {
   bool crash_spine = false;
   std::size_t ring_capacity = 0;   // 0 = default
   SimDuration horizon_override = 0;
-  bool force_serial_env = false;
-  bool obs_serial_env = false;     // OBJRPC_OBS_SERIAL=1
   bool arm_tracer = false;
   bool attach_tap = false;         // order-sensitive tap digest
   bool snapshot_each_epoch = false;
@@ -106,7 +104,7 @@ struct RunResult {
   std::uint64_t delivered = 0;
   std::uint64_t overflow = 0;
   std::uint32_t shards = 0;
-  bool concurrent = false;
+  bool concurrent = false;  // the runner drove at least one BSP epoch
   std::uint64_t epochs = 0;
   std::uint64_t tap_digest = 0;
   std::uint64_t tap_events = 0;
@@ -116,7 +114,7 @@ struct RunResult {
 };
 
 /// Order-sensitive fold over a tap observation — if replay order differs
-/// from the serial driver's delivery order by even one swap, the digests
+/// from the 1-shard run's delivery order by even one swap, the digests
 /// diverge.
 void fold_tap(std::uint64_t& d, NodeId from, NodeId to, const Packet& pkt) {
   auto mix = [&d](std::uint64_t v) {
@@ -130,8 +128,6 @@ void fold_tap(std::uint64_t& d, NodeId from, NodeId to, const Packet& pkt) {
 
 RunResult run_fabric(std::uint64_t seed, std::uint32_t shards,
                      const FabricOpts& o = {}) {
-  if (o.force_serial_env) setenv("OBJRPC_SHARDS_SERIAL", "1", 1);
-  if (o.obs_serial_env) setenv("OBJRPC_OBS_SERIAL", "1", 1);
   RunResult r;
   TestFabric f{Network(seed), {}};
   build_test_fabric(f, o);
@@ -163,9 +159,6 @@ RunResult run_fabric(std::uint64_t seed, std::uint32_t shards,
       }
     });
   }
-  // ready() is the real gate the loop consults: observer policy
-  // (concurrent_allowed) AND the OBJRPC_SHARDS_SERIAL kill switch.
-  r.concurrent = f.net.runner() != nullptr && f.net.runner()->ready();
   f.net.arm_wire_digest();
   if (o.crash_spine) {
     f.net.schedule_crash(f.topo.spines[1], 40 * kMicrosecond);
@@ -200,10 +193,9 @@ RunResult run_fabric(std::uint64_t seed, std::uint32_t shards,
   if (const ShardRunner* runner = f.net.runner()) {
     r.overflow = runner->overflow_count();
     r.epochs = runner->epochs();
+    r.concurrent = r.epochs > 0;
   }
   if (o.arm_tracer) r.trace_json = f.net.tracer().chrome_trace_json();
-  if (o.obs_serial_env) unsetenv("OBJRPC_OBS_SERIAL");
-  if (o.force_serial_env) unsetenv("OBJRPC_SHARDS_SERIAL");
   return r;
 }
 
@@ -254,25 +246,13 @@ TEST_P(ShardDigest, CrashScheduleByteIdentical) {
 INSTANTIATE_TEST_SUITE_P(Seeds, ShardDigest,
                          ::testing::Values(3, 17, 1234));
 
-TEST(ShardRunnerTest, SerialKillSwitchStillByteIdentical) {
-  // OBJRPC_SHARDS_SERIAL=1 keeps the partition but runs it on the
-  // serial key-merge driver — same keys, same digest.
-  const RunResult base = run_fabric(7, 1);
-  FabricOpts serial;
-  serial.force_serial_env = true;
-  const RunResult p = run_fabric(7, 4, serial);
-  EXPECT_EQ(p.shards, 4u);
-  EXPECT_FALSE(p.concurrent);
-  EXPECT_EQ(p.digest, base.digest);
-}
-
 // --- armed observers stay concurrent (DESIGN.md §17) ------------------------
 
-/// Tracer + tap armed no longer force the serial driver: the per-shard
-/// observer journal defers every observation and replays it at the
-/// barrier in canonical key order.  The trace file, the tap's
-/// order-sensitive fold, and the wire digest must all be byte-identical
-/// to the serial armed run — while the run really executes concurrently.
+/// Tracer + tap armed on the parallel driver: the per-shard observer
+/// journal defers every observation and replays it at the barrier in
+/// canonical key order.  The trace file, the tap's order-sensitive fold,
+/// and the wire digest must all be byte-identical to the 1-shard armed
+/// run — while the run really executes concurrently.
 class ShardArmed : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(ShardArmed, TracerAndTapByteIdenticalWhileConcurrent) {
@@ -337,31 +317,6 @@ TEST(ShardArmedTest, LossAndCrashWithObserversByteIdentical) {
   EXPECT_EQ(p.trace_json, base.trace_json);
 }
 
-TEST(ShardArmedTest, ObsSerialEnvRestoresSerialFallback) {
-  // OBJRPC_OBS_SERIAL=1 is the escape hatch: armed observers force the
-  // serial driver again (weaker than OBJRPC_SHARDS_SERIAL, which
-  // serializes even unobserved runs).  Output is identical either way.
-  FabricOpts armed;
-  armed.arm_tracer = true;
-  armed.attach_tap = true;
-  const RunResult base = run_fabric(9, 1, armed);
-  FabricOpts obs_serial = armed;
-  obs_serial.obs_serial_env = true;
-  const RunResult p = run_fabric(9, 4, obs_serial);
-  EXPECT_EQ(p.shards, 4u);
-  EXPECT_FALSE(p.concurrent);  // observers + kill switch => serial driver
-  EXPECT_EQ(p.digest, base.digest);
-  EXPECT_EQ(p.tap_digest, base.tap_digest);
-  EXPECT_EQ(p.trace_json, base.trace_json);
-
-  // Unobserved runs stay concurrent under OBJRPC_OBS_SERIAL: the switch
-  // only bites when something is actually armed.
-  FabricOpts bare;
-  bare.obs_serial_env = true;
-  const RunResult q = run_fabric(9, 4, bare);
-  EXPECT_TRUE(q.concurrent);
-}
-
 TEST(ShardArmedTest, RingOverflowWithObserversByteIdentical) {
   FabricOpts tiny;
   tiny.ring_capacity = 1;
@@ -381,7 +336,7 @@ TEST(ShardArmedTest, RingOverflowWithObserversByteIdentical) {
 TEST(ShardMetrics, SnapshotAtEveryEpochBarrierIsCoherent) {
   // snapshot() during a 4-shard run: taken at the barrier (workers
   // parked), SHARD_LANED counters merged.  frames_delivered must be
-  // monotone across epochs and land exactly on the serial total.
+  // monotone across epochs and land exactly on the 1-shard total.
   const RunResult base = run_fabric(13, 1);
   FabricOpts snap;
   snap.snapshot_each_epoch = true;
@@ -459,12 +414,12 @@ struct ClusterRun {
   std::uint64_t checker_digest = 0;
   std::uint64_t checker_events = 0;
   std::string trace_json;
-  bool concurrent = false;
+  bool concurrent = false;  // the runner drove at least one BSP epoch
 };
 
 /// Full-stack workload (create / write / fetch / move over the RPC
 /// layers).  With `armed`, the invariant checker rides its taps and the
-/// tracer records — since §17 neither forces the serial driver.
+/// tracer records, deferring through the shard journal (§17).
 ClusterRun run_cluster_workload(const char* shards_env, bool armed = false) {
   if (shards_env != nullptr) {
     setenv("OBJRPC_SHARDS", shards_env, 1);
@@ -474,15 +429,11 @@ ClusterRun run_cluster_workload(const char* shards_env, bool armed = false) {
   ClusterConfig cfg;
   cfg.fabric.scheme = DiscoveryScheme::controller;
   cfg.fabric.seed = 21;
-  // Checker taps + tracer no longer serialize the run (DESIGN.md §17):
-  // their observations defer into the shard journal and replay at the
-  // barrier in canonical order.
   cfg.check_invariants = armed ? 1 : 0;
   auto cluster = Cluster::build(cfg);
   if (armed) cluster->tracer().arm();
   cluster->fabric().network().arm_wire_digest();
   ClusterRun out;
-  out.concurrent = cluster->fabric().network().concurrent_allowed();
   auto obj = cluster->create_object(1, 4096);
   EXPECT_TRUE(obj.has_value());
   const ObjectId id = (*obj)->id();
@@ -498,6 +449,9 @@ ClusterRun run_cluster_workload(const char* shards_env, bool armed = false) {
   cluster->settle();
   EXPECT_TRUE(moved);
   out.wire_digest = cluster->fabric().network().wire_digest();
+  if (const ShardRunner* runner = cluster->fabric().network().runner()) {
+    out.concurrent = runner->epochs() > 0;
+  }
   if (armed) {
     EXPECT_NE(cluster->checker(), nullptr);
     if (cluster->checker() != nullptr) {
@@ -521,10 +475,11 @@ TEST(ShardCluster, EnvOptInByteIdenticalAcrossShardCounts) {
 
 TEST(ShardCluster, ArmedCheckerAndTracerByteIdenticalAcrossShardCounts) {
   // The §17 acceptance matrix at the full-stack level: same seed,
-  // serial vs 2/4/8 shards, checker + tracer armed.  Wire digest,
+  // 1 vs 2/4/8 shards, checker + tracer armed.  Wire digest,
   // checker fold, and trace JSON must agree byte-for-byte — and the
   // sharded legs must actually run the concurrent driver.
   const ClusterRun base = run_cluster_workload(nullptr, /*armed=*/true);
+  EXPECT_FALSE(base.concurrent);
   EXPECT_NE(base.wire_digest, 0u);
   EXPECT_GT(base.checker_events, 0u);
   ASSERT_FALSE(base.trace_json.empty());

@@ -112,6 +112,9 @@ struct FileModel {
   std::vector<int> malformed_allows;
   /// True if the file mentions obs::SourceGroup (raw-counter rule).
   bool has_source_group = false;
+  /// `#include` targets as written ("<random>", "\"x.hpp\"") with their
+  /// lines (load-numeric rule).
+  std::vector<std::pair<std::string, int>> includes;
 };
 
 /// The whole analyzed corpus, plus cross-file indexes.

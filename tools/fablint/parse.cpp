@@ -11,6 +11,7 @@
 #include <cassert>
 #include <cctype>
 #include <cstdlib>
+#include <sstream>
 
 #include "model.hpp"
 
@@ -77,6 +78,7 @@ class Parser {
     // the parser walk pure code tokens.
     for (const Token& t : all_tokens) {
       if (t.kind == Tok::kComment) scan_comment(t);
+      if (t.kind == Tok::kPreproc) scan_include(t);
     }
     fm_.tokens.reserve(all_tokens.size());
     for (Token& t : all_tokens) {
@@ -133,6 +135,16 @@ class Parser {
       return;
     }
     fm_.allows.push_back(std::move(a));
+  }
+
+  /// `# include <x>` (any spacing) -> "<x>"; other directives are
+  /// ignored.
+  void scan_include(const Token& t) {
+    std::istringstream in(t.text.substr(1));  // drop the '#'
+    std::string word, target;
+    if (in >> word >> target && word == "include") {
+      fm_.includes.emplace_back(target, t.line);
+    }
   }
 
   std::string qualified(const std::string& name) const {

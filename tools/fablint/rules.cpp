@@ -112,6 +112,15 @@ std::size_t skip_group(const FileModel& fm, std::size_t i, std::size_t end,
   return end;
 }
 
+/// True when the identifier at `i` followed by `(...)` and a function-
+/// body opener is a DECLARATION of that name, not a call to it.
+bool declares_function(const FileModel& fm, std::size_t i) {
+  const std::size_t close = skip_group(fm, i + 1, fm.tokens.size(), "(", ")");
+  const std::string& after = tok_at(fm, close).text;
+  return after == "{" || after == "const" || after == "noexcept" ||
+         after == "override";
+}
+
 const FunctionDef* enclosing_function(const FileModel& fm, std::size_t tok) {
   for (const FunctionDef& fn : fm.functions) {
     if (fn.is_definition && tok >= fn.body_begin && tok < fn.body_end) {
@@ -257,17 +266,9 @@ void rule_entropy(const Ctx& ctx) {
       auto flag = [&](const std::string& msg) {
         ctx.report(fm, "entropy", t.line, msg, fn);
       };
-      // `name(...)` followed by a function-body opener is a DECLARATION
-      // of that name, not a call to the libc one.
-      auto is_decl = [&]() {
-        const std::size_t close =
-            skip_group(fm, i + 1, fm.tokens.size(), "(", ")");
-        const std::string& after = tok_at(fm, close).text;
-        return after == "{" || after == "const" || after == "noexcept" ||
-               after == "override";
-      };
       if ((t.text == "rand" || t.text == "srand") && !member_access &&
-          !other_qual && tok_at(fm, i + 1).text == "(" && !is_decl()) {
+          !other_qual && tok_at(fm, i + 1).text == "(" &&
+          !declares_function(fm, i)) {
         flag("raw " + t.text + "(): use common/rng");
       } else if (t.text == "random_device" && std_qual) {
         flag("std::random_device: use common/rng");
@@ -282,7 +283,8 @@ void rule_entropy(const Ctx& ctx) {
         }
       } else if (t.text == "clock" && !member_access && !other_qual &&
                  !std_qual && tok_at(fm, i + 1).text == "(" &&
-                 tok_at(fm, i + 2).text == ")" && !is_decl()) {
+                 tok_at(fm, i + 2).text == ")" &&
+                 !declares_function(fm, i)) {
         flag("clock(): use EventLoop sim time");
       } else if ((t.text == "system_clock" || t.text == "steady_clock" ||
                   t.text == "high_resolution_clock") &&
@@ -291,6 +293,54 @@ void rule_entropy(const Ctx& ctx) {
         flag("std::chrono::" + t.text + ": use EventLoop sim time");
       } else if (t.text == "getentropy" || t.text == "getrandom") {
         flag("OS entropy: use common/rng");
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------
+// Rule: load-numeric
+//
+// src/load's arrival times and popularity draws feed the digest
+// directly, so it is held to a numeric rule stricter than `entropy`:
+// no <random> (its distributions are implementation-defined across
+// standard libraries, so one seed draws differently on libstdc++ and
+// libc++) and no libm transcendentals (they may differ at the last ulp
+// across platforms).
+
+void rule_load_numeric(const Ctx& ctx) {
+  static const std::set<std::string> libm = {
+      "sin",  "sinf",  "cos",  "cosf",  "tan",   "tanf",
+      "exp",  "expf",  "exp2", "exp2f", "log",   "logf",
+      "log2", "log2f", "log10", "log10f",
+  };
+  for (const FileModel& fm : ctx.corpus.files) {
+    if (!path_has_dir(fm.path, "load")) continue;
+    for (const auto& [target, line] : fm.includes) {
+      if (target != "<random>") continue;
+      ctx.report(fm, "load-numeric", line,
+                 "src/load: <random> distributions are "
+                 "implementation-defined; use common/rng");
+    }
+    for (std::size_t i = 0; i < fm.tokens.size(); ++i) {
+      const Token& t = tok_at(fm, i);
+      if (t.kind != Tok::kIdent) continue;
+      const std::string& prev = i > 0 ? tok_at(fm, i - 1).text : "";
+      const bool std_qual =
+          prev == "::" && i >= 2 && tok_at(fm, i - 2).text == "std";
+      const bool other_qual = prev == "::" && !std_qual;
+      const bool member_access = prev == "." || prev == "->";
+      const FunctionDef* fn = enclosing_function(fm, i);
+      if (std_qual && t.text.ends_with("_distribution")) {
+        ctx.report(fm, "load-numeric", t.line,
+                   "src/load: std::" + t.text + ": use common/rng", fn);
+      } else if (libm.count(t.text) != 0 && !member_access && !other_qual &&
+                 tok_at(fm, i + 1).text == "(" && !declares_function(fm, i)) {
+        ctx.report(fm, "load-numeric", t.line,
+                   "src/load: libm " + t.text +
+                       "() varies across platforms at the last ulp; use "
+                       "piecewise arithmetic shapes",
+                   fn);
       }
     }
   }
@@ -888,6 +938,7 @@ std::vector<Finding> run_rules(const Corpus& corpus, const Options& opts) {
   std::vector<Finding> out;
   Ctx ctx{corpus, opts, &out};
   rule_entropy(ctx);
+  rule_load_numeric(ctx);
   rule_hash_fanout(ctx);
   rule_raw_counter(ctx);
   rule_node_map(ctx);

@@ -27,10 +27,10 @@ metric regressed past its tolerance.  Two kinds of checks:
   4. Armed observers (DESIGN.md §17) — `shards_armed_digest_match` and
      `shards_armed_concurrent` must be 1 on every machine: a 4-shard
      run with tracer + checker + profiler armed must reproduce the
-     serial digest WITHOUT falling back to the serial driver.  With
-     >= 4 cores, `shards_armed_overhead_4` (armed-concurrent time over
-     armed-serial time — the cost of the observer journal's
-     defer/copy/replay relative to inline serial observation) must be
+     1-shard digest AND have run BSP epochs.  With >= 4 cores,
+     `shards_armed_overhead_4` (armed 4-shard time over armed 1-shard
+     time — the cost of the observer journal's defer/copy/replay and
+     the epochs relative to inline single-wheel observation) must be
      <= 1.15x; skipped loudly below 4 cores where worker ping-pong on
      oversubscribed cores drowns the measurement.  The profiler's
      shard/* metrics must be present in `shard_profile_metrics`.
@@ -48,7 +48,7 @@ RATIO_TOLERANCE = 0.30
 ABSOLUTE_TOLERANCE = 0.50
 SHARD_SCALING_FLOOR = 2.5  # 4 shards vs 1, leaf-spine, cores >= 4 only
 SHARD_SCALING_MIN_CORES = 4
-ARMED_OVERHEAD_CEILING = 1.15  # armed-concurrent vs armed-serial time
+ARMED_OVERHEAD_CEILING = 1.15  # armed 4-shard vs armed 1-shard time
 # Every profiler metric family that must appear in the armed run's
 # registry dump (shard_profile_metrics).
 PROFILE_METRIC_KEYS = [
@@ -138,17 +138,17 @@ def main():
             f"measured {scaling:.2f}x at 4 shards, digest match only",
             file=sys.stderr)
 
-    # Armed-observer leg (§17): byte-identity and staying concurrent are
+    # Armed-observer leg (§17): byte-identity and running BSP epochs are
     # correctness bars, enforced everywhere; the overhead ceiling is a
     # perf number and needs real cores.
     if current.get("shards_armed_digest_match", 0.0) != 1.0:
         failures.append(
             "shards_armed_digest_match != 1: armed 4-shard run diverged "
-            "from the serial digest")
+            "from the 1-shard digest")
     if current.get("shards_armed_concurrent", 0.0) != 1.0:
         failures.append(
-            "shards_armed_concurrent != 1: armed observers forced the "
-            "serial driver")
+            "shards_armed_concurrent != 1: armed 4-shard run executed no "
+            "BSP epochs")
     overhead = current.get("shards_armed_overhead_4")
     if overhead is None:
         failures.append("current run is missing 'shards_armed_overhead_4'")
