@@ -4,23 +4,24 @@
 // which is exactly the regime observers must not perturb: a tracer
 // append, a checker tap, or a node-liveness callback that grabbed a
 // lock — or worse, forced the driver back to serial — would make the
-// fabric unobservable at the one speed that matters.  The journal
-// generalizes the wire digest's per-lane/merge-at-barrier trick to
-// arbitrary observer callbacks: during an epoch each worker appends
+// fabric unobservable at the one speed that matters.  The journal is
+// the fabric's one barrier merge: during an epoch each worker appends
 // closures to its OWN lane (SPSC, no synchronization), every record
 // stamped with the executing event's canonical key (at, key_a, key_b).
-// At the BSP barrier, with all workers parked, the coordinator merges
-// the lanes, sorts by key, and replays the closures in canonical order
-// — the exact order the serial driver would have executed them in — so
-// every observer sees the identical fabric-global event sequence and
-// armed parallel runs produce byte-identical traces and digests.
+// At the BSP barrier, with all workers parked, the coordinator sorts
+// the lanes' records by key and replays the closures in canonical
+// order — the exact order the serial driver would have executed them
+// in — so every client (the wire digest, the tracer, packet taps, the
+// node observer, the invariant checker) sees the identical fabric-
+// global event sequence and armed parallel runs produce byte-identical
+// digests and traces.
 //
 // Why the sort reconstructs serial order (proof sketch in §17): the
 // serial driver executes events in ascending (at, key_a, key_b), each
 // executed event's key is globally unique, and all records of one
-// event land contiguously in exactly one lane — so a stable sort by
-// key both interleaves events canonically and preserves each event's
-// internal program order.
+// event land contiguously in exactly one lane in program order — so
+// sorting by (key, lane, index within lane) both interleaves events
+// canonically and preserves each event's internal program order.
 #pragma once
 
 #include <cstddef>
@@ -58,15 +59,19 @@ class ShardJournal {
   void set_deferring(bool on) { deferring_ = on; }
   bool deferring() const { return deferring_; }
 
-  /// Append `fn` to the current lane, stamped with the executing
-  /// event's canonical key.  MAY_ALLOC: lane vector growth — amortized,
-  /// and only on armed runs.
-  HOT_PATH MAY_ALLOC void defer(SmallFn fn) {
-    Rec r;
-    stamp_(r.at, r.ka, r.kb);
-    r.fn = std::move(fn);
-    lanes_[exec_lane_below(static_cast<std::uint32_t>(lanes_.size()))]
-        .recs.push_back(std::move(r));
+  /// Append `f` to the current lane, stamped with the executing
+  /// event's canonical key; the closure is built in place in the lane.
+  /// MAY_ALLOC: lane vector growth — amortized, and only when the digest
+  /// or an observer is armed.
+  template <typename F>
+  HOT_PATH MAY_ALLOC void defer(F&& f) {
+    const std::uint32_t l =
+        exec_lane_below(static_cast<std::uint32_t>(lanes_.size()));
+    Lane& lane = lanes_[l];
+    Key k{0, 0, 0, l, static_cast<std::uint32_t>(lane.fns.size())};
+    stamp_(k.at, k.ka, k.kb);
+    lane.keys.push_back(k);
+    lane.fns.emplace_back(std::forward<F>(f));
   }
 
   /// Run `f` now (serial driver, control context, or disarmed run) or
@@ -79,13 +84,13 @@ class ShardJournal {
       f();
       return;
     }
-    defer(SmallFn(std::forward<F>(f)));
+    defer(std::forward<F>(f));
   }
 
   /// Any records pending?  Coordinator-only, workers parked.
   bool empty() const {
     for (const Lane& l : lanes_) {
-      if (!l.recs.empty()) return false;
+      if (!l.keys.empty()) return false;
     }
     return true;
   }
@@ -93,28 +98,36 @@ class ShardJournal {
   /// Records replayed over the journal's lifetime (profiler/tests).
   std::uint64_t replayed_total() const { return replayed_total_; }
 
-  /// Merge all lanes, sort by canonical key, and invoke each record.
+  /// Sort every lane's records by canonical key and invoke each one.
   /// `clock(at)` runs before each record so observers that read the
   /// simulation clock see the record's delivery time, exactly as they
   /// would have inline.  Coordinator-only, workers parked.
   void replay(const std::function<void(SimTime)>& clock);
 
  private:
-  struct Rec {
-    SimTime at = 0;
-    std::uint64_t ka = 0;
-    std::uint64_t kb = 0;
-    SmallFn fn;
+  /// A record's sort key: the canonical event key, then the record's
+  /// position (lane, index into that lane's fns) as the tie-break that
+  /// keeps one event's records in program order.  Kept apart from the
+  /// closures so the barrier gathers and sorts 32-byte keys and touches
+  /// each closure only to run it.
+  struct Key {
+    SimTime at;
+    std::uint64_t ka;
+    std::uint64_t kb;
+    std::uint32_t lane;
+    std::uint32_t idx;
   };
   /// Padded: each lane is written by its owning worker during an epoch.
+  /// keys[i] stamps fns[i].
   struct alignas(64) Lane {
-    std::vector<Rec> recs;
+    std::vector<Key> keys;
+    std::vector<SmallFn> fns;
   };
 
   /// SHARD_LANED: lanes_[ExecLane::idx] is the only element a worker
   /// touches; configure_lanes sizes it before threads exist.
   SHARD_LANED std::vector<Lane> lanes_{1};
-  std::vector<Rec> scratch_;
+  std::vector<Key> order_;
   bool deferring_ = false;
   StampFn stamp_;
   std::uint64_t replayed_total_ = 0;

@@ -25,10 +25,10 @@
 //   * all timestamps are SimTime (virtual nanoseconds); nothing reads a
 //     wall clock.
 //   * under the CONCURRENT driver (DESIGN.md §17), recording defers
-//     through the bound ShardJournal: each hook captures its arguments
-//     and the append runs at the next barrier in canonical event order,
-//     so the record vectors — and the exported JSON — are byte-
-//     identical to a serial armed run.
+//     through the fabric's ShardJournal: each hook captures its
+//     arguments and the append runs at the next barrier in canonical
+//     event order, so the record vectors — and the exported JSON — are
+//     byte-identical to a serial armed run.
 //
 // Recording is off by default; arm with OBS_TRACE_FILE=<path> or
 // ClusterConfig::trace_file (see core/cluster.hpp).
@@ -90,6 +90,11 @@ struct CounterSample {
 
 class Tracer {
  public:
+  /// Recording runs through `journal` (run_or_defer): inline outside
+  /// the parallel driver's epochs, journaled for barrier replay inside
+  /// them.  `journal` must outlive the tracer.
+  explicit Tracer(ShardJournal& journal) : journal_(journal) {}
+
   // --- id allocation: UNCONDITIONAL (see determinism contract) -------
   // The id space is partitioned BY SOURCE NODE, not by execution lane:
   // id = (node+1) << 40 | that node's monotone counter.  Two properties
@@ -118,11 +123,6 @@ class Tracer {
   void arm() { armed_ = true; }
   void disarm() { armed_ = false; }
   bool armed() const { return armed_; }
-
-  /// Route recording through `j` while it is deferring (the parallel
-  /// driver's epochs); null or non-deferring = record inline.  Bound
-  /// unconditionally by the Network at construction.
-  void bind_journal(ShardJournal* j) { journal_ = j; }
 
   /// Extra pre-formatted trace_event JSON objects appended to the
   /// export (the ShardProfiler's host-time lane family).
@@ -194,22 +194,7 @@ class Tracer {
   /// which also makes leaf ids shard-count-invariant.
   std::uint64_t next_leaf_ = 1;
 
-  // Deferred-recording internals: the public hooks either run these
-  // inline or journal them for barrier replay (see class comment).
-  MAY_ALLOC void record_begin_span(std::uint64_t span_id, std::uint64_t trace,
-                                   std::uint64_t parent, std::uint32_t node,
-                                   std::string name, SimTime begin);
-  MAY_ALLOC void record_end_span(std::uint64_t span_id, SimTime end);
-  MAY_ALLOC void record_leaf_span(std::uint64_t trace, std::uint64_t parent,
-                                  std::uint32_t node, std::string name,
-                                  SimTime begin, SimTime end);
-  MAY_ALLOC void record_instant(std::uint64_t trace, std::uint64_t parent,
-                                std::uint32_t node, std::string name,
-                                SimTime at);
-  MAY_ALLOC void record_counter(std::uint32_t node, std::string name,
-                                SimTime at, double value);
-
-  ShardJournal* journal_ = nullptr;
+  ShardJournal& journal_;
   std::function<std::vector<std::string>()> aux_events_;
 
   std::vector<SpanRecord> spans_;

@@ -34,16 +34,15 @@ constexpr std::uint64_t kWireDigestSeed = 0x9E3779B97F4A7C15ull;
 }  // namespace
 
 Network::Network(std::uint64_t seed)
-    : rng_(seed), wire_digest_chain_(kWireDigestSeed) {
+    : rng_(seed), tracer_(journal_), wire_digest_chain_(kWireDigestSeed) {
   // Observer plane (DESIGN.md §17): records journaled during a
   // concurrent epoch are stamped with the executing event's delivery
-  // time and canonical key — the same key the wire digest merges by.
+  // time and canonical key — the order the serial driver executes in.
   journal_.set_stamp(
       [this](SimTime& at, std::uint64_t& ka, std::uint64_t& kb) {
         at = loop_.now();
         EventLoop::current_event_key(ka, kb);
       });
-  tracer_.bind_journal(&journal_);
   metrics_.add_source("net/frames_sent",
                       [this] { return stats().frames_sent; });
   metrics_.add_source("net/frames_delivered",
@@ -360,39 +359,10 @@ void Network::fold_wire_digest(NodeId from, NodeId dst, const Packet& pkt) {
     tail |= static_cast<std::uint64_t>(d[i + b]) << (8 * b);
   }
   h = mix64(h ^ tail ^ (static_cast<std::uint64_t>(d.size()) << 48));
-  if (wire_digest_buffering_) {
-    // Concurrent epoch: buffer on the executing lane with the event's
-    // canonical key; the coordinator merges lanes at the next barrier.
-    std::uint64_t ka = 0;
-    std::uint64_t kb = 0;
-    EventLoop::current_event_key(ka, kb);
-    const std::uint32_t lane = exec_lane_below(
-        static_cast<std::uint32_t>(digest_lanes_.size()));
-    digest_lanes_[lane].recs.push_back(DigestRec{at, ka, kb, h});
-    return;
-  }
-  wire_digest_chain_ = mix64(wire_digest_chain_ ^ h);
-  ++wire_digest_count_;
-}
-
-void Network::merge_wire_digest_buffers() {
-  auto& scratch = digest_merge_scratch_;
-  scratch.clear();
-  for (DigestLane& lane : digest_lanes_) {
-    scratch.insert(scratch.end(), lane.recs.begin(), lane.recs.end());
-    lane.recs.clear();
-  }
-  if (scratch.empty()) return;
-  std::sort(scratch.begin(), scratch.end(),
-            [](const DigestRec& a, const DigestRec& b) {
-              if (a.at != b.at) return a.at < b.at;
-              if (a.key_a != b.key_a) return a.key_a < b.key_a;
-              return a.key_b < b.key_b;
-            });
-  for (const DigestRec& r : scratch) {
-    wire_digest_chain_ = mix64(wire_digest_chain_ ^ r.h);
-  }
-  wire_digest_count_ += scratch.size();
+  journal_.run_or_defer([this, h] {
+    wire_digest_chain_ = mix64(wire_digest_chain_ ^ h);
+    ++wire_digest_count_;
+  });
 }
 
 void Network::replay_observer_journal() {
@@ -449,7 +419,6 @@ std::uint32_t Network::enable_sharding(const ShardPlan& plan) {
   const TrafficStats merged = stats();
   stats_lanes_.assign(lanes, StatsLane{});
   stats_lanes_[0].s = merged;
-  digest_lanes_.assign(lanes, DigestLane{});
   journal_.configure_lanes(lanes);
   loop_.set_parallel_driver(nullptr);
   runner_.reset();
@@ -468,7 +437,29 @@ std::uint32_t Network::enable_sharding(const ShardPlan& plan) {
 std::uint32_t Network::maybe_shard_from_env() {
   const char* v = std::getenv("OBJRPC_SHARDS");
   if (v == nullptr || v[0] == '\0') return 1;
-  const long n = std::strtol(v, nullptr, 10);
+  // A whole decimal number >= 1.  Anything else (a trailing suffix, a
+  // sign, a fraction, zero) degrades loudly to single-shard, like a
+  // rejected plan.  Digits saturate just past node_count(), so no
+  // value can wrap.
+  const std::size_t nodes = nodes_.size();
+  std::size_t n = 0;
+  const char* p = v;
+  for (; *p >= '0' && *p <= '9'; ++p) {
+    n = std::min(n * 10 + static_cast<std::size_t>(*p - '0'), nodes + 1);
+  }
+  if (*p != '\0' || n < 1) {
+    Log::warn("net",
+              "OBJRPC_SHARDS=\"%s\" rejected: not a whole number >= 1; "
+              "running single-shard",
+              v);
+    return 1;
+  }
+  // More shards than nodes would only add idle workers.
+  if (n > nodes) {
+    Log::warn("net", "OBJRPC_SHARDS=%s exceeds the fabric's %zu nodes; "
+              "running %zu shards", v, nodes, nodes);
+    n = nodes;
+  }
   if (n <= 1) return 1;
   auto plan = ShardPlan::by_switch_groups(*this, static_cast<std::uint32_t>(n));
   return enable_sharding(plan);

@@ -275,9 +275,9 @@ class Network {
   /// Arm the wire digest: a running hash over every delivery (time,
   /// endpoints, size, full payload bytes) in canonical event order.
   /// This is the cheap, sim-native determinism witness the shard tests
-  /// and bench sweep compare across shard counts — unlike the taps it
-  /// works in concurrent mode (per-lane buffers, merged by canonical
-  /// key at every barrier).
+  /// and bench sweep compare across shard counts.  In concurrent mode
+  /// each fold is one more observer-journal record, so the chain folds
+  /// at the barrier in canonical key order, like every other observer.
   void arm_wire_digest() { wire_digest_armed_ = true; }
   bool wire_digest_armed() const { return wire_digest_armed_; }
   /// Digest and delivery count so far (read at quiesce).
@@ -342,17 +342,14 @@ class Network {
   /// digest fold, taps, on_packet.
   HOT_PATH void deliver_now(NodeId from, NodeId dst, PortId dst_port,
                             Packet&& pkt);
-  /// Fold one delivery into the wire digest (or the executing lane's
-  /// buffer in a concurrent run).
+  /// Hash one delivery and fold it into the wire digest chain — inline,
+  /// or through the observer journal during a concurrent epoch.
   HOT_PATH void fold_wire_digest(NodeId from, NodeId dst, const Packet& pkt);
-  /// Merge and fold every lane's buffered digest records in canonical
-  /// (at, key) order.  Runner-only, called at barriers (workers parked).
-  void merge_wire_digest_buffers();
   /// Replay journaled observer records in canonical order (runner-only,
   /// workers parked; see observer_journal()).
   void replay_observer_journal();
   /// End-of-barrier notification from the runner: fires the user's
-  /// barrier hook once clocks, digests, and journals are settled.
+  /// barrier hook once clocks and journals are settled.
   void on_epoch_barrier();
   /// Fabric-unique frame id from the executing lane's strided allocator.
   HOT_PATH std::uint64_t mint_frame_id() {
@@ -375,12 +372,13 @@ class Network {
   /// Setup-time randomness only (see rng()).
   Rng rng_;
   obs::MetricsRegistry metrics_;
-  /// Trace/span id allocation is laned inside the tracer; recording is
-  /// armed-only and defers through the observer journal in concurrent
-  /// runs (DESIGN.md §17).
-  obs::Tracer tracer_;
-  /// Per-lane deferred observer records, replayed at barriers.
+  /// Per-lane deferred observer records, replayed at barriers.  Declared
+  /// before tracer_, which records through it.
   obs::ShardJournal journal_;
+  /// Trace/span id allocation is partitioned per node inside the
+  /// tracer; recording is armed-only and defers through the observer
+  /// journal in concurrent runs (DESIGN.md §17).
+  obs::Tracer tracer_;
   obs::ShardProfiler shard_profiler_;
   bool shard_profile_requested_ = false;
   std::function<void()> barrier_hook_;
@@ -414,26 +412,11 @@ class Network {
   std::uint64_t frame_id_stride_ = 1;
   std::uint64_t frame_id_base_ = 0;
 
-  // Wire digest state.  Deliveries outside an epoch fold inline
-  // (chain/count); concurrent epochs buffer per lane and the
-  // coordinator merges at barriers.
+  // Wire digest state.  Written only by journal records: inline
+  // outside an epoch, at barrier replay (workers parked) inside one.
   bool wire_digest_armed_ = false;
-  /// Set by the runner for the duration of an epoch (workers parked at
-  /// both edges, so no torn reads).
-  bool wire_digest_buffering_ = false;
   std::uint64_t wire_digest_chain_;
   std::uint64_t wire_digest_count_ = 0;
-  struct DigestRec {
-    SimTime at;
-    std::uint64_t key_a;
-    std::uint64_t key_b;
-    std::uint64_t h;
-  };
-  struct alignas(64) DigestLane {
-    std::vector<DigestRec> recs;
-  };
-  SHARD_LANED std::vector<DigestLane> digest_lanes_{1};
-  std::vector<DigestRec> digest_merge_scratch_;
 
   std::unique_ptr<ShardRunner> runner_;
 };

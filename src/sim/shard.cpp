@@ -177,15 +177,15 @@ void ShardRunner::run_until(SimTime deadline) {
     // hook widens L past the proof for the violation-abort test.
     const SimDuration la =
         horizon_override_ > 0 ? horizon_override_ : lookahead_;
-    SimTime run_to = ms + la - 1;  // inclusive epoch limit
-    if (run_to < ms) run_to = limit;  // SimTime overflow (deadline = max)
-    if (run_to > limit) run_to = limit;
+    // Inclusive epoch limit, clamped to `limit` without computing
+    // ms + la - 1 when it would overflow (ms <= limit, la >= 1).
+    const SimTime run_to = ms > limit - (la - 1) ? limit : ms + la - 1;
     obs::ShardProfiler& prof = net_.shard_profiler_;
     if (prof.armed()) prof.begin_epoch(epoch_seq_ + 1);
     run_epoch(run_to);
     // Barrier work, workers parked: land cross-shard frames (keys
-    // intact), fold the buffered digest lanes, and replay journaled
-    // observer records — both in canonical order.
+    // intact) and replay journaled observer records — digest folds
+    // included — in canonical order.
     if (prof.armed()) {
       prof.end_epoch();
       for (std::uint32_t i = 0; i < shards_; ++i) {
@@ -194,7 +194,6 @@ void ShardRunner::run_until(SimTime deadline) {
       prof.begin_drain();
     }
     drain_rings();
-    net_.merge_wire_digest_buffers();
     net_.replay_observer_journal();
     for (auto& w : loop.wheels_) {
       if (w->now() > loop.global_now_) loop.global_now_ = w->now();
@@ -212,11 +211,8 @@ void ShardRunner::run_epoch(SimTime limit) {
     std::lock_guard<std::mutex> lk(mu_);
     epoch_limit_ = limit;
     in_epoch_ = true;
-    // Deliveries during the epoch buffer per lane; every other digest
-    // fold (control events, step()) is inline.  Observer
-    // callbacks likewise journal during the epoch and run inline
-    // everywhere else.
-    net_.wire_digest_buffering_ = net_.wire_digest_armed_;
+    // Observer callbacks (digest folds included) journal during the
+    // epoch and run inline everywhere else.
     net_.journal_.set_deferring(true);
     running_ = shards_;
     ++epoch_seq_;
@@ -226,7 +222,6 @@ void ShardRunner::run_epoch(SimTime limit) {
     std::unique_lock<std::mutex> lk(mu_);
     cv_done_.wait(lk, [this] { return running_ == 0; });
     in_epoch_ = false;
-    net_.wire_digest_buffering_ = false;
     net_.journal_.set_deferring(false);
   }
   ++epochs_;

@@ -11,7 +11,8 @@
 // the horizon H = min(M + L, next control time, deadline + 1) without
 // ever receiving a frame behind their clock.  Epochs are BSP rounds:
 // release workers to H-1, park them at a barrier, drain the cross-shard
-// handoff rings, merge the wire-digest lanes, repeat.
+// handoff rings, replay the observer journal (obs/journal.hpp — the
+// wire digest folds through it too), repeat.
 //
 // Determinism (the non-negotiable): event ORDER is a pure function of
 // the canonical key set (see sim/event_loop.hpp), and every key is
@@ -156,7 +157,8 @@ class ShardRunner final : public EventLoop::ParallelDriver {
   };
 
   /// Run one BSP epoch: every worker drives its wheel to `limit`
-  /// (inclusive), then parks.  Caller drains rings and merges digests.
+  /// (inclusive), then parks.  Caller drains rings and replays the
+  /// observer journal.
   void run_epoch(SimTime limit);
   /// Insert every ring/spill frame into its destination wheel with its
   /// stamped key (coordinator only, workers parked).

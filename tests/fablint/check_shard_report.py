@@ -9,11 +9,15 @@ exactly the regression this test exists to catch.  Asserts:
 
   * the report is valid JSON with the five inventory arrays,
   * each array the annotated tree is known to populate is non-empty,
-  * a few load-bearing entries are present (Network's topology state and
-    the runner's spill queue, the laned frame-id / pool free-list
-    arrays, the timing-wheel capability guards).  (Tracer ids are
-    per-NODE, not per-lane — they feed the wire digest and must stay
-    shard-count-invariant — so they are deliberately absent here.)
+  * a few load-bearing entries are present, matched as (class, member)
+    pairs so a member name shared by several classes (three have a
+    laned `lanes_`) cannot stand in for another: Network's topology
+    state and the runner's spill queue, the laned frame-id / pool
+    free-list arrays, the observer journal's lanes (the one barrier-
+    merge buffer: the wire digest folds through it too), the cross-
+    shard rings and the timing-wheel capability guards.  (Tracer ids
+    are per-NODE, not per-lane — they feed the wire digest and must
+    stay shard-count-invariant — so they are deliberately absent.)
 
 Usage: check_shard_report.py <fablint-binary> <src-dir>
 """
@@ -53,19 +57,28 @@ def main() -> int:
         else:
             print(f"  {key}: {len(entries)} entries")
 
-    def names(key):
-        return {e.get("member", "") for e in report.get(key, [])}
+    def members(key):
+        return {f"{e.get('class', '')}::{e.get('member', '')}"
+                for e in report.get(key, [])}
 
     expectations = [
-        ("cross_shard_state", "node_up_", "Network's topology up/down map"),
-        ("cross_shard_state", "spill_", "ShardRunner's overflow spill"),
-        ("laned_state", "frame_id_lanes_", "laned frame-id allocators"),
-        ("laned_state", "lanes_", "laned pool free lists"),
-        ("laned_state", "rings_", "per-lane cross-shard rings"),
-        ("shard_guarded_state", "buckets_", "TimingWheel buckets"),
+        ("cross_shard_state", "objrpc::Network::node_up_",
+         "Network's topology up/down map"),
+        ("cross_shard_state", "objrpc::ShardRunner::spill_",
+         "ShardRunner's overflow spill"),
+        ("laned_state", "objrpc::Network::frame_id_lanes_",
+         "laned frame-id allocators"),
+        ("laned_state", "objrpc::BufferPool::lanes_",
+         "laned pool free lists"),
+        ("laned_state", "objrpc::obs::ShardJournal::lanes_",
+         "the observer journal's lanes (the one barrier-merge buffer)"),
+        ("laned_state", "objrpc::ShardRunner::rings_",
+         "per-lane cross-shard rings"),
+        ("shard_guarded_state", "objrpc::TimingWheel::buckets_",
+         "TimingWheel buckets"),
     ]
     for key, name, what in expectations:
-        if name not in names(key):
+        if name not in members(key):
             sys.stderr.write(f"shard report: {what} ('{name}') missing "
                              f"from {key}\n")
             ok = False

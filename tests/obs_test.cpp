@@ -13,7 +13,9 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/exec_lane.hpp"
 #include "core/cluster.hpp"
+#include "obs/journal.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "sim/shard.hpp"
@@ -313,6 +315,61 @@ INSTANTIATE_TEST_SUITE_P(
       if (std::get<1>(info.param)) name += "Checker";
       return name;
     });
+
+// --- journal ordering contract (DESIGN.md §17) ----------------------------
+
+/// Records deferred on two lanes with interleaved keys replay in global
+/// (at, ka, kb) order; records sharing a key keep program order; the
+/// replay clock reads each record's `at`; replay empties the lanes.
+TEST(Journal, ReplayIsKeyOrderedAndProgramOrderedWithinAKey) {
+  struct Stamp {
+    SimTime at;
+    std::uint64_t ka, kb;
+  } cur{};
+  obs::ShardJournal j;
+  j.set_stamp([&cur](SimTime& at, std::uint64_t& ka, std::uint64_t& kb) {
+    at = cur.at;
+    ka = cur.ka;
+    kb = cur.kb;
+  });
+  j.configure_lanes(2);
+  j.set_deferring(true);
+
+  std::vector<int> seen;
+  const std::uint32_t saved_lane = ExecLane::idx;
+  auto defer = [&](std::uint32_t lane, Stamp st, int tag) {
+    ExecLane::idx = lane;
+    cur = st;
+    j.run_or_defer([&seen, tag] { seen.push_back(tag); });
+  };
+  // Tags name the expected replay position.  Tags 1-2 and 6-7 are two
+  // records of one event each (same key, same lane, program order).
+  defer(0, {20, 1, 1}, 4);
+  defer(1, {10, 0, 9}, 0);
+  defer(1, {10, 1, 0}, 1);
+  defer(1, {10, 1, 0}, 2);
+  defer(0, {10, 1, 1}, 3);
+  defer(1, {20, 1, 2}, 5);
+  defer(0, {30, 0, 0}, 6);
+  defer(0, {30, 0, 0}, 7);
+  ExecLane::idx = saved_lane;
+  j.set_deferring(false);
+  EXPECT_TRUE(seen.empty()) << "deferred records ran before replay";
+  EXPECT_FALSE(j.empty());
+
+  std::vector<SimTime> clock;
+  j.replay([&clock](SimTime at) { clock.push_back(at); });
+  EXPECT_EQ(seen, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7}));
+  EXPECT_EQ(clock, (std::vector<SimTime>{10, 10, 10, 10, 20, 20, 30, 30}));
+  EXPECT_TRUE(j.empty());
+  EXPECT_EQ(j.replayed_total(), 8u);
+
+  // Outside an epoch records run inline, and an empty replay is a no-op.
+  j.run_or_defer([&seen] { seen.push_back(8); });
+  EXPECT_EQ(seen.size(), 9u);
+  j.replay([&clock](SimTime at) { clock.push_back(at); });
+  EXPECT_EQ(clock.size(), 8u);
+}
 
 // --- reliable-channel trace propagation ----------------------------------
 

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <limits>
 #include <optional>
 #include <string>
 #include <vector>
@@ -365,6 +366,41 @@ TEST(ShardRunnerTest, RingOverflowSpillsWithoutDivergence) {
   EXPECT_EQ(p.delivered, base.delivered);
 }
 
+// --- horizon arithmetic -----------------------------------------------------
+
+constexpr SimTime kFarFuture = std::numeric_limits<SimTime>::max() - 5;
+
+/// Two hosts on a 1 us link, one timer near the end of SimTime.  The
+/// runner's epoch horizon (M + L - 1) must clamp to the deadline without
+/// overflowing, and the timer must fire exactly as on the serial loop.
+SimTime fire_far_future_timer(std::uint32_t shards) {
+  Network net(7);
+  const NodeId a = net.add_node<SinkHost>("a").id();
+  const NodeId b = net.add_node<SinkHost>("b").id();
+  LinkParams link;
+  link.latency = kMicrosecond;
+  net.connect(a, b, link);
+  if (shards > 1) {
+    ShardPlan plan;
+    plan.shards = shards;
+    plan.shard_of = {0, 1};
+    plan.lookahead = ShardPlan::min_cross_latency(net, plan.shard_of);
+    EXPECT_EQ(net.enable_sharding(plan), shards);
+  }
+  SimTime fired = -1;
+  net.schedule_on(a, kFarFuture, [&net, &fired] { fired = net.now(); });
+  net.loop().run();
+  if (shards > 1) {
+    EXPECT_GT(net.runner()->epochs(), 0u) << shards << " shards";
+  }
+  return fired;
+}
+
+TEST(ShardRunnerTest, FarFutureTimerFiresAtEveryShardCount) {
+  EXPECT_EQ(fire_far_future_timer(1), kFarFuture);
+  EXPECT_EQ(fire_far_future_timer(2), kFarFuture);
+}
+
 // --- lookahead soundness ----------------------------------------------------
 
 /// A horizon far past the real lookahead is UNSOUND: shards run ahead
@@ -462,6 +498,52 @@ ClusterRun run_cluster_workload(const char* shards_env, bool armed = false) {
   }
   unsetenv("OBJRPC_SHARDS");
   return out;
+}
+
+/// OBJRPC_SHARDS=`value` applied to `net`; returns the shard count.
+std::uint32_t shards_from_env(Network& net, const std::string& value) {
+  setenv("OBJRPC_SHARDS", value.c_str(), 1);
+  const std::uint32_t applied = net.maybe_shard_from_env();
+  unsetenv("OBJRPC_SHARDS");
+  EXPECT_EQ(applied, net.shard_count()) << value;
+  EXPECT_EQ(net.runner() != nullptr, applied > 1) << value;
+  return applied;
+}
+
+/// The same value against a fresh copy of the 44-node test fabric.
+std::uint32_t shards_from_env(const std::string& value) {
+  TestFabric f{Network(1), {}};
+  build_test_fabric(f, {});
+  return shards_from_env(f.net, value);
+}
+
+TEST(ShardEnv, WholeNumbersWithinTheFabricApply) {
+  EXPECT_EQ(shards_from_env("1"), 1u);
+  EXPECT_EQ(shards_from_env("4"), 4u);
+  EXPECT_EQ(shards_from_env("004"), 4u);
+}
+
+TEST(ShardEnv, MalformedValuesRunSingleShard) {
+  for (const char* bad : {"4x", "0", "-2", "+2", " 2", "2 ", "2.0", "x"}) {
+    EXPECT_EQ(shards_from_env(bad), 1u) << "OBJRPC_SHARDS=" << bad;
+  }
+}
+
+TEST(ShardEnv, CountsPastTheNodeCountClampToIt) {
+  // Three hosts: a 1 us link a<->b, c on its own, so every node can
+  // take its own shard.  No count may wrap (4294967298 is 2 as a
+  // uint32) or spawn more workers than there are nodes.
+  for (const char* big : {"4", "100000", "4294967298",
+                          "99999999999999999999999"}) {
+    Network net(1);
+    const NodeId a = net.add_node<SinkHost>("a").id();
+    const NodeId b = net.add_node<SinkHost>("b").id();
+    net.add_node<SinkHost>("c");
+    LinkParams link;
+    link.latency = kMicrosecond;
+    net.connect(a, b, link);
+    EXPECT_EQ(shards_from_env(net, big), 3u) << "OBJRPC_SHARDS=" << big;
+  }
 }
 
 TEST(ShardCluster, EnvOptInByteIdenticalAcrossShardCounts) {
