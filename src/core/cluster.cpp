@@ -15,10 +15,8 @@ bool invariants_enabled(const ClusterConfig& cfg) {
   return env_flag("CHECK_INVARIANTS");
 }
 
-/// Resolve an export path: explicit config wins, else the environment
-/// variable, else empty (export off).
-std::string export_path(const std::string& configured, const char* env_var) {
-  if (!configured.empty()) return configured;
+/// An export path from the environment; empty (export off) if unset.
+std::string export_path(const char* env_var) {
   const char* env = std::getenv(env_var);
   return env != nullptr ? std::string(env) : std::string();
 }
@@ -59,8 +57,8 @@ std::unique_ptr<Cluster> Cluster::build(const ClusterConfig& cfg) {
   // Observability arming.  Tracing records passively (id allocation is
   // unconditional and deterministic), so arming cannot perturb the
   // simulation or the check digest.
-  cluster->trace_file_ = export_path(cfg.trace_file, "OBS_TRACE_FILE");
-  cluster->metrics_file_ = export_path(cfg.metrics_file, "OBS_METRICS_FILE");
+  cluster->trace_file_ = export_path("OBS_TRACE_FILE");
+  cluster->metrics_file_ = export_path("OBS_METRICS_FILE");
   if (!cluster->trace_file_.empty()) {
     cluster->fabric_->network().tracer().arm();
   }

@@ -36,15 +36,11 @@ struct ClusterConfig {
   /// through passive hooks only, so enabling it leaves the simulation's
   /// event stream byte-identical.
   int check_invariants = -1;
-  /// Causal tracing (src/obs): path to write Chrome trace_event JSON on
-  /// teardown.  Empty = follow the OBS_TRACE_FILE environment variable
-  /// (unset/empty = tracing stays disarmed).  Arming only toggles
-  /// recording — trace/span ids are allocated either way, so the wire
-  /// bytes and the check digest are identical armed or not.
-  std::string trace_file{};
-  /// Metrics registry JSON dump path on teardown.  Empty = follow the
-  /// OBS_METRICS_FILE environment variable (unset/empty = no dump).
-  std::string metrics_file{};
+  // Exports: OBS_TRACE_FILE=<path> arms causal tracing (src/obs) and
+  // writes Chrome trace_event JSON on teardown; OBS_METRICS_FILE=<path>
+  // dumps the metrics registry JSON on teardown.  Arming only toggles
+  // recording — trace/span ids are allocated either way, so the wire
+  // bytes and the check digest are identical armed or not.
 };
 
 class Cluster {
@@ -140,7 +136,7 @@ class Cluster {
     std::uint64_t bytes;
   };
   std::unordered_map<ObjectId, DirEntry> directory_;
-  /// Export destinations resolved at build time (config or environment).
+  /// Export destinations read from the environment at build time.
   std::string trace_file_;
   std::string metrics_file_;
 };

@@ -25,7 +25,7 @@ void ShardProfiler::arm(MetricsRegistry& metrics, std::uint32_t workers) {
   h_wait_ = &metrics.histogram("shard/barrier_wait_ns");
   h_drain_ = &metrics.histogram("shard/drain_host_ns");
   h_util_ = &metrics.histogram("shard/lane_utilization_pct");
-  h_ring_ = &metrics.histogram("shard/ring_occupancy");
+  h_outbox_ = &metrics.histogram("shard/ring_occupancy");
   c_epochs_ = &metrics.counter("shard/epochs");
   c_cross_ = &metrics.counter("shard/cross_frames");
   c_overflow_ = &metrics.counter("shard/ring_overflow");
@@ -62,13 +62,13 @@ void ShardProfiler::end_epoch() {
   cur_.t_parked = host_now_ns();
 }
 
-void ShardProfiler::sample_ring(std::uint32_t lane, std::size_t occupancy) {
+void ShardProfiler::sample_outbox(std::uint32_t lane, std::size_t occupancy) {
   if (!armed_) return;
-  h_ring_->add(static_cast<std::uint64_t>(occupancy));
+  h_outbox_->add(static_cast<std::uint64_t>(occupancy));
   // Only for epochs the chrome export will actually contain.
   if (epochs_.size() < kMaxChromeEpochs) {
-    rings_.push_back(
-        RingRec{cur_epoch_, lane, static_cast<std::uint64_t>(occupancy)});
+    outboxes_.push_back(
+        OutboxRec{cur_epoch_, lane, static_cast<std::uint64_t>(occupancy)});
   }
 }
 
@@ -145,7 +145,7 @@ std::vector<std::string> ShardProfiler::chrome_events() const {
       out.emplace_back(buf);
     }
   }
-  for (const RingRec& r : rings_) {
+  for (const OutboxRec& r : outboxes_) {
     // Sampled at the owning epoch's barrier (drain start).  epochs_ is
     // sorted by epoch number, so binary-search the timestamp.
     const auto it = std::lower_bound(

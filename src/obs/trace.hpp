@@ -30,8 +30,8 @@
 //     event order, so the record vectors — and the exported JSON — are
 //     byte-identical to a serial armed run.
 //
-// Recording is off by default; arm with OBS_TRACE_FILE=<path> or
-// ClusterConfig::trace_file (see core/cluster.hpp).
+// Recording is off by default; arm with OBS_TRACE_FILE=<path> (see
+// core/cluster.hpp) or Tracer::arm().
 #pragma once
 
 #include <algorithm>

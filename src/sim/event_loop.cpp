@@ -33,7 +33,7 @@ TimingWheel::TimingWheel(EventLoop* owner, std::uint32_t lane)
 
 std::uint32_t TimingWheel::alloc_node(SimTime at, std::uint64_t key_a,
                                       std::uint64_t key_b,
-                                      std::uint32_t exec_src, Callback fn) {
+                                      std::uint32_t exec_src, Callback&& fn) {
   if (free_head_ != kNoNode) {
     const std::uint32_t idx = free_head_;
     Entry& n = entries_[idx];
@@ -54,25 +54,27 @@ std::uint32_t TimingWheel::alloc_node(SimTime at, std::uint64_t key_a,
   return idx;
 }
 
+SimTime TimingWheel::clamp_past(SimTime at, SimTime floor) {
+  ++clamped_past_schedules_;
+  if (strict_past_schedules_) {
+    std::fprintf(stderr,
+                 "EventLoop: schedule_at(%lld) is in the past (now=%lld); "
+                 "caller violates causality\n",
+                 static_cast<long long>(at), static_cast<long long>(floor));
+    std::abort();
+  }
+  return floor;  // never execute into the past
+}
+
 void TimingWheel::schedule(SimTime at, std::uint64_t key_a,
                            std::uint64_t key_b, std::uint32_t exec_src,
-                           SimTime floor, Callback fn) {
+                           SimTime floor, Callback&& fn) {
   shard_.assert_held();
-  if (at < floor) {
-    ++clamped_past_schedules_;
-    if (strict_past_schedules_) {
-      std::fprintf(stderr,
-                   "EventLoop: schedule_at(%lld) is in the past (now=%lld); "
-                   "caller violates causality\n",
-                   static_cast<long long>(at), static_cast<long long>(floor));
-      std::abort();
-    }
-    at = floor;  // never execute into the past
-  }
+  if (at < floor) at = clamp_past(at, floor);
   if (at < now_) {
     // The scheduler's clock passed the floor check but this wheel has
     // already executed past `at`: only the parallel runner can cause
-    // this, by handing a cross-shard frame over with less delay than
+    // this, by re-homing a cross-wheel handoff with less delay than
     // the lookahead bound it promised.
     ++clamped_past_schedules_;
     if (strict_past_schedules_) {
@@ -424,6 +426,27 @@ void TimingWheel::run_until(SimTime limit) {
   EventLoop::tls_ctx_ = saved;
 }
 
+void TimingWheel::hand_off(SimTime at, std::uint64_t key_a,
+                           std::uint64_t key_b, std::uint32_t exec_src,
+                           SimTime floor, Callback&& fn) {
+  shard_.assert_held();
+  if (at < floor) at = clamp_past(at, floor);
+  if (outbox_.size() == outbox_.capacity()) ++outbox_grows_;
+  outbox_.push_back(Extracted{at, key_a, key_b, exec_src, std::move(fn)});
+}
+
+std::size_t TimingWheel::outbox_depth() const {
+  shard_.assert_held();
+  return outbox_.size();
+}
+
+std::size_t TimingWheel::drain_outbox() {
+  shard_.assert_held();  // workers parked: the coordinator holds every wheel
+  const std::size_t n = outbox_.size();
+  owner_->rehome(outbox_);
+  return n;
+}
+
 void TimingWheel::extract_all(std::vector<Extracted>& out) {
   shard_.assert_held();
   for (std::size_t lv = 0; lv < kLevels; ++lv) {
@@ -499,30 +522,18 @@ void EventLoop::schedule_routed(std::uint32_t dst, SimTime at, Callback fn) {
     sched_now = c.wheel->now();
     if (c.wheel != &control_) stamp_src = c.src;
   }
-  wheel_of_source(dst)->schedule(
-      at, kShardLaneBit | static_cast<std::uint64_t>(sched_now),
-      stamp(stamp_src), dst, sched_now, std::move(fn));
-}
-
-void EventLoop::stamp_routed(std::uint64_t& key_a, std::uint64_t& key_b) {
-  SchedCtx& c = tls_ctx_;
-  std::uint32_t stamp_src = kExternalSource;
-  SimTime sched_now = global_now_;
-  if (c.owner == this && c.wheel != nullptr) {
-    sched_now = c.wheel->now();
-    if (c.wheel != &control_) stamp_src = c.src;
+  const std::uint64_t key_a =
+      kShardLaneBit | static_cast<std::uint64_t>(sched_now);
+  const std::uint64_t key_b = stamp(stamp_src);
+  TimingWheel* to = wheel_of_source(dst);
+  if (concurrent_epoch_ && to != c.wheel) {
+    // Inside an epoch every caller is a worker executing its own wheel,
+    // and dst's wheel belongs to another worker: park the event in the
+    // executing wheel's outbox until the barrier.
+    c.wheel->hand_off(at, key_a, key_b, dst, sched_now, std::move(fn));
+    return;
   }
-  key_a = kShardLaneBit | static_cast<std::uint64_t>(sched_now);
-  key_b = stamp(stamp_src);
-}
-
-void EventLoop::schedule_stamped(std::uint32_t dst, SimTime at,
-                                 std::uint64_t key_a, std::uint64_t key_b,
-                                 Callback fn) {
-  // floor == at: the "in the past" clamp can never fire here; an `at`
-  // behind dst's wheel clock falls through to the lookahead-violation
-  // check inside TimingWheel::schedule.
-  wheel_of_source(dst)->schedule(at, key_a, key_b, dst, at, std::move(fn));
+  to->schedule(at, key_a, key_b, dst, sched_now, std::move(fn));
 }
 
 void EventLoop::schedule_on_source(std::uint32_t src, SimTime at,
@@ -561,13 +572,26 @@ void EventLoop::configure_shards(std::uint32_t shards,
       wheel_of_[src] = shard_of[src];
     }
   }
-  for (auto& e : moved) {
+  rehome(moved);
+}
+
+void EventLoop::rehome(std::vector<TimingWheel::Extracted>& recs) {
+  for (auto& e : recs) {
     TimingWheel* w = e.exec_src == kExternalSource
                          ? wheels_[0].get()
                          : wheel_of_source(e.exec_src);
     w->schedule(e.at, e.key_a, e.key_b, e.exec_src, /*floor=*/e.at,
                 std::move(e.fn));
   }
+  recs.clear();
+}
+
+std::uint64_t EventLoop::drain_outboxes() {
+  // Insertion order across outboxes is irrelevant: key order decides
+  // execution order.
+  std::uint64_t moved = 0;
+  for (auto& w : wheels_) moved += w->drain_outbox();
+  return moved;
 }
 
 void EventLoop::drain_control_at(SimTime tc) {

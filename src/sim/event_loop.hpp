@@ -87,9 +87,10 @@ class TimingWheel {
   /// different message).  Public wheel operations assert the shard
   /// capability internally: the single-wheel loop's thread holds every
   /// wheel by definition, the parallel runner's workers hold exactly
-  /// the one they acquired.
+  /// the one they acquired.  `fn` is taken by rvalue reference down to
+  /// its pool slot, so the closure is relocated once per insert.
   HOT_PATH void schedule(SimTime at, std::uint64_t key_a, std::uint64_t key_b,
-                         std::uint32_t exec_src, SimTime floor, Callback fn);
+                         std::uint32_t exec_src, SimTime floor, Callback&& fn);
 
   /// Advance the cursor to the next pending event with time <= `limit`
   /// and return that time, or kNoEventTime (cursor parked at or before
@@ -105,9 +106,9 @@ class TimingWheel {
   /// Tight loop: run every event with time <= `limit`.
   void run_until(SimTime limit);
 
-  /// Remove every pending event (with its key and callback) so the
-  /// facade can re-home them when the partition changes.  Setup-time
-  /// only (no execution in progress).
+  /// One event lifted out of a wheel with its key and callback, for the
+  /// facade to re-home: every pending event when the partition changes
+  /// (extract_all), or a cross-wheel handoff parked in the outbox.
   struct Extracted {
     SimTime at;
     std::uint64_t key_a;
@@ -115,7 +116,14 @@ class TimingWheel {
     std::uint32_t exec_src;
     Callback fn;
   };
+  /// Remove every pending event.  Setup-time only (no execution in
+  /// progress).
   void extract_all(std::vector<Extracted>& out);
+
+  /// Cross-wheel handoffs parked in the outbox (barrier-time sampling).
+  std::size_t outbox_depth() const;
+  /// Handoffs that had to grow the outbox.
+  std::uint64_t outbox_grows() const { return outbox_grows_; }
 
   bool empty() const { return size_ == 0; }
   std::size_t pending() const { return size_; }
@@ -166,7 +174,7 @@ class TimingWheel {
   /// when the free list is empty; steady state recycles via free_head_.
   MAY_ALLOC std::uint32_t alloc_node(SimTime at, std::uint64_t key_a,
                                      std::uint64_t key_b,
-                                     std::uint32_t exec_src, Callback fn)
+                                     std::uint32_t exec_src, Callback&& fn)
       REQUIRES_SHARD(shard_);
   /// File `idx` into its wheel bucket.  Fresh schedules append,
   /// cascades prepend — EXCEPT into the bucket the cursor is currently
@@ -188,6 +196,25 @@ class TimingWheel {
   /// events of two different windows.
   /// MAY_ALLOC: uses a retained scratch vector (grows on first use).
   MAY_ALLOC void sort_bucket(std::size_t slot) REQUIRES_SHARD(shard_);
+  /// Cross-wheel handoff (DESIGN.md §16): park an event that executes
+  /// on ANOTHER wheel in this wheel's outbox.  Called by the worker
+  /// executing this wheel inside a concurrent epoch, so the outbox is
+  /// guarded by this wheel's capability like the rest of its state.
+  /// The past-time check runs here against the sender's clock `floor`,
+  /// exactly as schedule() would.
+  /// MAY_ALLOC: outbox growth — amortized (the outbox keeps its
+  /// capacity across epochs); every growth is counted in outbox_grows().
+  MAY_ALLOC void hand_off(SimTime at, std::uint64_t key_a,
+                          std::uint64_t key_b, std::uint32_t exec_src,
+                          SimTime floor, Callback&& fn);
+  /// Re-home every parked handoff into its destination wheel (via the
+  /// facade), keys intact, and return how many moved.  Runner barrier,
+  /// workers parked.
+  std::size_t drain_outbox();
+  /// Slow path of the causality check shared by schedule() and
+  /// hand_off(): `at` is before the scheduler's clock `floor`, so count
+  /// it and clamp to `floor`, or abort under strict mode.
+  SimTime clamp_past(SimTime at, SimTime floor);
   /// pop_run minus the scheduling-context epilogue: leaves tls_ctx_ /
   /// ExecLane pointing at the event just run.  For drain loops (and
   /// EventLoop's control drain, via friendship) that pop many events
@@ -237,6 +264,9 @@ class TimingWheel {
     std::uint32_t idx;
   };
   std::vector<SortRec> sort_scratch_ SHARD_GUARDED_BY(shard_);
+  /// Cross-wheel handoffs parked since the last barrier (hand_off).
+  std::vector<Extracted> outbox_ SHARD_GUARDED_BY(shard_);
+  std::uint64_t outbox_grows_ = 0;
 
   friend class EventLoop;
 };
@@ -288,21 +318,12 @@ class EventLoop {
   /// Schedule an event that EXECUTES as node `dst` (on dst's wheel, in
   /// dst's lane) but is STAMPED by the calling context — the sender's
   /// sched_time and seq counter — so two shards delivering to the same
-  /// node never race a counter.  This is the frame-delivery primitive.
+  /// node never race a counter.  This is the frame-delivery primitive,
+  /// at every shard count.  Inside a concurrent epoch, when dst lives
+  /// on another wheel, the stamped event is parked in the executing
+  /// wheel's outbox and lands on dst's wheel at the barrier, key
+  /// intact; the lookahead bound guarantees that is early enough.
   HOT_PATH void schedule_routed(std::uint32_t dst, SimTime at, Callback fn);
-
-  /// Stamp a routed event's canonical key from the calling context
-  /// WITHOUT inserting it.  Cross-shard handoff path: the sender stamps
-  /// (its own clock, its own seq counter — no other thread touches
-  /// either), the runner carries the key through its rings, and the
-  /// coordinator inserts at the barrier with schedule_stamped.  The key
-  /// is byte-identical to what schedule_routed would have assigned.
-  HOT_PATH void stamp_routed(std::uint64_t& key_a, std::uint64_t& key_b);
-  /// Insert a pre-stamped event into dst's wheel.  Coordinator-only
-  /// (barriers, workers parked).  An `at` behind dst's wheel clock is a
-  /// lookahead violation (aborts under strict mode).
-  void schedule_stamped(std::uint32_t dst, SimTime at, std::uint64_t key_a,
-                        std::uint64_t key_b, Callback fn);
 
   /// Schedule an event that executes as node `src` and is stamped from
   /// src's OWN seq counter.  Callable from setup or control-lane code
@@ -448,6 +469,13 @@ class EventLoop {
     return (next_seq(src) << 24) | (src & 0x00FFFFFFu);
   }
 
+  /// Insert extracted records into their source's wheel with their
+  /// keys intact (floor = at, so an `at` behind the wheel clock is a
+  /// lookahead violation), then clear `recs`, keeping its capacity.
+  void rehome(std::vector<TimingWheel::Extracted>& recs);
+  /// Barrier half of the cross-wheel handoff: re-home every wheel's
+  /// outbox.  Runner-only, workers parked.  Returns the records moved.
+  std::uint64_t drain_outboxes();
   /// Drain every control event at exactly time `tc` (children at tc
   /// included — they sort after their parents by seq).
   void drain_control_at(SimTime tc);
@@ -467,12 +495,16 @@ class EventLoop {
   /// Global high-water mark; what now() returns outside callbacks.
   SimTime global_now_ = 0;
   bool strict_past_schedules_ = false;
+  /// True exactly while the runner's workers execute an epoch.  Set and
+  /// cleared by the runner under its barrier mutex with the workers
+  /// parked, so a worker reads it race-free.
+  bool concurrent_epoch_ = false;
   ParallelDriver* driver_ = nullptr;
   DrainHook drain_hook_;
 
   friend class TimingWheel;
-  /// The parallel runner drives the private control drain and the wheel
-  /// set directly from its coordinator loop.
+  /// The parallel runner drives the private control drain, the wheel
+  /// set, the epoch flag and the outbox drain from its coordinator loop.
   friend class ShardRunner;
 };
 

@@ -287,15 +287,9 @@ void Network::transmit(NodeId from, PortId port, Packet pkt) {
     payload_pool_.release(std::move(pkt.data));
     return;
   }
-  if (runner_ != nullptr) {
-    // Concurrent epoch in progress and the destination lives on another
-    // shard: hand the frame over through the runner's bounded rings
-    // (drained at the next barrier — the lookahead bound guarantees
-    // that is early enough).
-    if (runner_->offer_cross(from, dst, dst_port, arrive, std::move(pkt))) {
-      return;
-    }
-  }
+  // Executes as dst, stamped by this sender.  Inside a concurrent epoch
+  // a delivery to another shard's node waits in this wheel's outbox
+  // until the barrier (EventLoop::schedule_routed).
   loop_.schedule_routed(
       dst, arrive,
       [this, from, dst, dst_port, pkt = std::move(pkt)]() mutable {
@@ -316,7 +310,7 @@ void Network::deliver_now(NodeId from, NodeId dst, PortId dst_port,
   st.bytes_delivered += pkt.wire_size();
   ++pkt.hops;
   if (wire_digest_armed_) fold_wire_digest(from, dst, pkt);
-  if (tap_ || !extra_taps_.empty()) {
+  if (!taps_.empty()) {
     if (journal_.deferring()) {
       // Concurrent epoch: taps replay at the barrier in canonical
       // order, against a pooled copy of the frame (the receiver is
@@ -324,13 +318,11 @@ void Network::deliver_now(NodeId from, NodeId dst, PortId dst_port,
       Packet copy = pkt.header_copy();
       copy.data = payload_pool_.copy_of(pkt.data);
       journal_.defer(SmallFn([this, from, dst, copy = std::move(copy)]() mutable {
-        if (tap_) tap_(from, dst, copy);
-        for (auto& t : extra_taps_) t(from, dst, copy);
+        for (auto& t : taps_) t(from, dst, copy);
         payload_pool_.release(std::move(copy.data));
       }));
     } else {
-      if (tap_) tap_(from, dst, pkt);
-      for (auto& t : extra_taps_) t(from, dst, pkt);
+      for (auto& t : taps_) t(from, dst, pkt);
     }
   }
   nodes_[dst]->on_packet(dst_port, std::move(pkt));

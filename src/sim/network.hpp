@@ -105,8 +105,8 @@ class Network {
 
   /// The causal tracer (src/obs).  Id allocation is always live (the
   /// wire carries trace/span ids whether or not anyone records them);
-  /// span recording is armed explicitly (OBS_TRACE_FILE / cluster
-  /// config) and is purely passive.
+  /// span recording is armed explicitly (OBS_TRACE_FILE or
+  /// Tracer::arm()) and is purely passive.
   obs::Tracer& tracer() { return tracer_; }
   const obs::Tracer& tracer() const { return tracer_; }
 
@@ -194,9 +194,10 @@ class Network {
 
   /// Enqueue a frame for transmission (called via NetworkNode::send).
   /// HOT_PATH: one call per frame per hop.  CROSS_SHARD: the delivery
-  /// lands on the destination's shard — same-shard (or outside an
-  /// epoch) as a direct wheel insert, cross-shard in a concurrent run
-  /// through the runner's bounded handoff rings.
+  /// lands on the destination's shard through
+  /// EventLoop::schedule_routed — a direct wheel insert, except inside
+  /// a concurrent epoch when the destination lives on another shard:
+  /// then it waits in the sending wheel's outbox until the barrier.
   HOT_PATH CROSS_SHARD void transmit(NodeId from, PortId port, Packet pkt);
 
   /// Recycled payload buffers (DESIGN.md §14).  The fabric releases the
@@ -226,18 +227,14 @@ class Network {
     for (StatsLane& lane : stats_lanes_) lane.s = TrafficStats{};
   }
 
-  /// Observation hook for tests: sees every delivered frame.  In a
-  /// sharded run taps run at barrier replay in canonical order
-  /// (observer_journal() below), so attaching one never serializes the
-  /// run.
+  /// Observation taps (tests, the invariant checker): each sees every
+  /// delivered frame, in registration order, and must not mutate the
+  /// simulation.  In a sharded run taps run at barrier replay in
+  /// canonical order (observer_journal() below), so attaching one never
+  /// serializes the run.
   using PacketTap =
       std::function<void(NodeId from, NodeId to, const Packet&)>;
-  void set_tap(PacketTap tap) { tap_ = std::move(tap); }
-
-  /// Additional observation taps (the invariant checker attaches here so
-  /// it can coexist with a test's set_tap).  Taps run in registration
-  /// order, after the primary tap; they must not mutate the simulation.
-  void add_tap(PacketTap tap) { extra_taps_.push_back(std::move(tap)); }
+  void add_tap(PacketTap tap) { taps_.push_back(std::move(tap)); }
 
   // --- sharding (DESIGN.md §16) --------------------------------------
 
@@ -399,8 +396,7 @@ class Network {
     TrafficStats s;
   };
   SHARD_LANED std::vector<StatsLane> stats_lanes_{1};
-  PacketTap tap_;
-  std::vector<PacketTap> extra_taps_;
+  std::vector<PacketTap> taps_;
   NodeObserver node_observer_;
   /// Frame ids: strided per-lane counters (id = base + c*stride +
   /// lane + 1), unique fabric-wide without synchronization.  Re-strided

@@ -8,15 +8,6 @@
 
 namespace objrpc {
 
-namespace {
-
-/// Default per-lane handoff ring: sized so steady-state cross-shard
-/// traffic of one epoch (bounded by lookahead * per-link rate) stays on
-/// the lock-free path; bursts beyond it degrade to the spill mutex.
-constexpr std::size_t kDefaultRingCapacity = 4096;
-
-}  // namespace
-
 // --- ShardPlan -------------------------------------------------------
 
 ShardPlan ShardPlan::single() { return ShardPlan{}; }
@@ -130,10 +121,7 @@ ShardRunner::ShardRunner(Network& net, SimDuration lookahead,
                          std::uint32_t shards)
     : net_(net),
       lookahead_(lookahead < 1 ? 1 : lookahead),
-      shards_(shards),
-      rings_(shards),
-      ring_capacity_(kDefaultRingCapacity) {
-  for (Ring& r : rings_) r.buf.reserve(ring_capacity_);
+      shards_(shards) {
   threads_.reserve(shards_);
   for (std::uint32_t i = 0; i < shards_; ++i) {
     threads_.emplace_back([this, i] { worker_main(i); });
@@ -183,25 +171,22 @@ void ShardRunner::run_until(SimTime deadline) {
     obs::ShardProfiler& prof = net_.shard_profiler_;
     if (prof.armed()) prof.begin_epoch(epoch_seq_ + 1);
     run_epoch(run_to);
-    // Barrier work, workers parked: land cross-shard frames (keys
+    // Barrier work, workers parked: land cross-shard handoffs (keys
     // intact) and replay journaled observer records — digest folds
     // included — in canonical order.
     if (prof.armed()) {
       prof.end_epoch();
       for (std::uint32_t i = 0; i < shards_; ++i) {
-        prof.sample_ring(i, rings_[i].buf.size());
+        prof.sample_outbox(i, loop.wheel(i).outbox_depth());
       }
       prof.begin_drain();
     }
-    drain_rings();
+    cross_frames_ += loop.drain_outboxes();
     net_.replay_observer_journal();
     for (auto& w : loop.wheels_) {
       if (w->now() > loop.global_now_) loop.global_now_ = w->now();
     }
-    if (prof.armed()) {
-      prof.end_drain(cross_frames_,
-                     overflow_count_.load(std::memory_order_relaxed));
-    }
+    if (prof.armed()) prof.end_drain(cross_frames_, overflow_count());
     net_.on_epoch_barrier();
   }
 }
@@ -210,7 +195,7 @@ void ShardRunner::run_epoch(SimTime limit) {
   {
     std::lock_guard<std::mutex> lk(mu_);
     epoch_limit_ = limit;
-    in_epoch_ = true;
+    net_.loop_.concurrent_epoch_ = true;
     // Observer callbacks (digest folds included) journal during the
     // epoch and run inline everywhere else.
     net_.journal_.set_deferring(true);
@@ -221,7 +206,7 @@ void ShardRunner::run_epoch(SimTime limit) {
   {
     std::unique_lock<std::mutex> lk(mu_);
     cv_done_.wait(lk, [this] { return running_ == 0; });
-    in_epoch_ = false;
+    net_.loop_.concurrent_epoch_ = false;
     net_.journal_.set_deferring(false);
   }
   ++epochs_;
@@ -256,66 +241,10 @@ void ShardRunner::worker_main(std::uint32_t lane) {
   }
 }
 
-bool ShardRunner::offer_cross(NodeId from, NodeId dst, PortId dst_port,
-                              SimTime arrive, Packet&& pkt) {
-  if (!in_epoch_) return false;
-  const std::uint32_t lane = ExecLane::idx;
-  if (lane >= shards_) return false;  // control/coordinator context
-  if (net_.loop_.shard_of_source(dst) == lane) return false;  // own wheel
-  CrossFrame cf;
-  cf.at = arrive;
-  cf.from = from;
-  cf.dst = dst;
-  cf.dst_port = dst_port;
-  cf.pkt = std::move(pkt);
-  net_.loop_.stamp_routed(cf.key_a, cf.key_b);
-  Ring& r = rings_[lane];
-  if (r.buf.size() < ring_capacity_) {
-    r.buf.push_back(std::move(cf));
-  } else {
-    spill_cross(std::move(cf));
-  }
-  return true;
-}
-
-void ShardRunner::spill_cross(CrossFrame&& cf) {
-  std::lock_guard<std::mutex> lk(spill_mu_);
-  spill_.push_back(std::move(cf));
-  overflow_count_.fetch_add(1, std::memory_order_relaxed);
-}
-
-void ShardRunner::drain_rings() {
-  for (Ring& r : rings_) {
-    for (CrossFrame& cf : r.buf) deliver_cross(std::move(cf));
-    cross_frames_ += r.buf.size();
-    r.buf.clear();
-  }
-  // The spill lock is uncontended here (workers parked); held for the
-  // drain anyway so TSan sees the pairing.
-  std::lock_guard<std::mutex> lk(spill_mu_);
-  cross_frames_ += spill_.size();
-  for (CrossFrame& cf : spill_) deliver_cross(std::move(cf));
-  spill_.clear();
-}
-
-void ShardRunner::deliver_cross(CrossFrame&& cf) {
-  Network* net = &net_;
-  const NodeId from = cf.from;
-  const NodeId dst = cf.dst;
-  const PortId dst_port = cf.dst_port;
-  // Insertion order across rings is irrelevant: the stamped key decides
-  // execution order.  An `at` behind dst's wheel clock can only mean
-  // the horizon exceeded the lookahead proof; the wheel aborts on it
-  // under strict mode ("lookahead violation").
-  net_.loop_.schedule_stamped(
-      dst, cf.at, cf.key_a, cf.key_b,
-      [net, from, dst, dst_port, pkt = std::move(cf.pkt)]() mutable {
-        net->deliver_now(from, dst, dst_port, std::move(pkt));
-      });
-}
-
-void ShardRunner::set_ring_capacity_for_test(std::size_t cap) {
-  ring_capacity_ = cap < 1 ? 1 : cap;
+std::uint64_t ShardRunner::overflow_count() const {
+  std::uint64_t n = 0;
+  for (const auto& w : net_.loop_.wheels_) n += w->outbox_grows();
+  return n;
 }
 
 }  // namespace objrpc

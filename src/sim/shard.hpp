@@ -10,30 +10,29 @@
 // t + serialization + L > M + L — so all shards may run freely up to
 // the horizon H = min(M + L, next control time, deadline + 1) without
 // ever receiving a frame behind their clock.  Epochs are BSP rounds:
-// release workers to H-1, park them at a barrier, drain the cross-shard
-// handoff rings, replay the observer journal (obs/journal.hpp — the
+// release workers to H-1, park them at a barrier, re-home every wheel's
+// outbox of cross-wheel handoffs (EventLoop::schedule_routed parks them
+// there mid-epoch), replay the observer journal (obs/journal.hpp — the
 // wire digest folds through it too), repeat.
 //
 // Determinism (the non-negotiable): event ORDER is a pure function of
 // the canonical key set (see sim/event_loop.hpp), and every key is
 // assigned by its sender's own clock and seq counter — identical in
-// 1-shard and K-shard runs.  Cross-shard frames carry their key through
-// the rings and are inserted with it intact, so a 1-, 2-, 4- and
-// 8-shard run of the same seed produces a byte-identical wire digest.
+// 1-shard and K-shard runs.  A cross-shard delivery is stamped once by
+// its sender, crosses between wheels once (outbox, then barrier) and is
+// inserted with its key intact, so a 1-, 2-, 4- and 8-shard run of the
+// same seed produces a byte-identical wire digest.
 // tests/shard_test.cpp and the bench sweep enforce this.
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <mutex>
 #include <thread>
 #include <vector>
 
-#include "common/annotations.hpp"
 #include "common/time.hpp"
 #include "sim/event_loop.hpp"
-#include "sim/packet.hpp"
 #include "sim/topology.hpp"
 
 namespace objrpc {
@@ -100,34 +99,15 @@ class ShardRunner final : public EventLoop::ParallelDriver {
   /// EventLoop::ParallelDriver.
   void run_until(SimTime deadline) override;
 
-  /// Cross-shard frame handoff, called by Network::transmit from a
-  /// worker thread mid-epoch.  Stamps the canonical delivery key from
-  /// the SENDER's context (its clock, its seq counter — untouched by
-  /// any other thread), then parks the frame in the executing lane's
-  /// bounded ring for the coordinator to insert at the next barrier.
-  /// Returns false when the frame should be scheduled directly instead:
-  /// not inside a concurrent epoch (control / coordinator context, or
-  /// step()), or the destination lives on the sender's own shard.
-  /// Ring drain order across lanes is irrelevant: insertion carries the
-  /// canonical key, and key order — not insertion order — decides
-  /// execution order.
-  HOT_PATH bool offer_cross(NodeId from, NodeId dst, PortId dst_port,
-                            SimTime arrive, Packet&& pkt);
-
-  /// Frames that arrived at a full ring and took the mutex-guarded
-  /// spill path instead (backpressure observability; shard_test floors
-  /// the ring to force it).
-  std::uint64_t overflow_count() const {
-    return overflow_count_.load(std::memory_order_relaxed);
-  }
+  /// Handoffs that had to grow a wheel's outbox — the cross-shard
+  /// handoff's one allocation point (read at barriers or quiesce).
+  std::uint64_t overflow_count() const;
   /// Completed epochs (BSP rounds) so far.
   std::uint64_t epochs() const { return epochs_; }
-  /// Cross-shard frames handed through the rings so far.
+  /// Cross-shard events re-homed from the outboxes so far.
   std::uint64_t cross_frames() const { return cross_frames_; }
 
   // --- test hooks ----------------------------------------------------
-  /// Shrink the per-lane rings (forces the overflow spill path).
-  void set_ring_capacity_for_test(std::size_t cap);
   /// Replace the computed lookahead with `h` (an h larger than the real
   /// lookahead makes the runner UNSOUND: cross-shard frames can arrive
   /// behind the destination wheel's clock, which the wheel reports as a
@@ -135,37 +115,10 @@ class ShardRunner final : public EventLoop::ParallelDriver {
   void set_horizon_override_for_test(SimDuration h) { horizon_override_ = h; }
 
  private:
-  /// One cross-shard frame in flight between epochs: the delivery plus
-  /// the canonical key its sender stamped.
-  struct CrossFrame {
-    SimTime at = 0;
-    std::uint64_t key_a = 0;
-    std::uint64_t key_b = 0;
-    NodeId from = kInvalidNode;
-    NodeId dst = kInvalidNode;
-    PortId dst_port = kInvalidPort;
-    Packet pkt;
-  };
-  /// Per-worker-lane handoff ring.  Single producer (the owning worker,
-  /// mid-epoch), single consumer (the coordinator, at the barrier —
-  /// workers parked, ordered by the barrier's mutex).  Bounded: a full
-  /// ring spills to the shared mutex-guarded overflow vector, so a
-  /// burst degrades to a lock instead of deadlocking or growing
-  /// unboundedly.
-  struct alignas(64) Ring {
-    std::vector<CrossFrame> buf;
-  };
-
   /// Run one BSP epoch: every worker drives its wheel to `limit`
-  /// (inclusive), then parks.  Caller drains rings and replays the
-  /// observer journal.
+  /// (inclusive), then parks.  Caller drains the outboxes and replays
+  /// the observer journal.
   void run_epoch(SimTime limit);
-  /// Insert every ring/spill frame into its destination wheel with its
-  /// stamped key (coordinator only, workers parked).
-  CROSS_SHARD void drain_rings();
-  void deliver_cross(CrossFrame&& cf);
-  /// Full-ring slow path (the designed allocation point).
-  CROSS_SHARD MAY_ALLOC void spill_cross(CrossFrame&& cf);
   void worker_main(std::uint32_t lane);
 
   Network& net_;
@@ -173,27 +126,16 @@ class ShardRunner final : public EventLoop::ParallelDriver {
   const std::uint32_t shards_;
   SimDuration horizon_override_ = 0;
 
-  /// CROSS_SHARD by construction: every field below the rings is either
-  /// written only at barriers (coordinator, workers parked) or guarded
-  /// by mu_ / spill_mu_.
-  SHARD_LANED std::vector<Ring> rings_;
-  std::size_t ring_capacity_;
-  std::mutex spill_mu_;
-  CROSS_SHARD std::vector<CrossFrame> spill_;
-  std::atomic<std::uint64_t> overflow_count_{0};
-
   // Epoch barrier.  epoch_seq_ bumps to release workers; running_
   // counts them back in.  All worker<->coordinator visibility (the
-  // epoch limit, in_epoch_, ring contents) is ordered by mu_.
+  // epoch limit, the loop's epoch flag, outbox contents) is ordered by
+  // mu_.
   std::mutex mu_;
   std::condition_variable cv_work_;
   std::condition_variable cv_done_;
   std::uint64_t epoch_seq_ = 0;
   SimTime epoch_limit_ = 0;
   std::uint32_t running_ = 0;
-  /// True exactly while workers are running an epoch (offer_cross's
-  /// gate: outside an epoch every schedule is a direct wheel insert).
-  bool in_epoch_ = false;
   bool stop_ = false;
 
   std::uint64_t epochs_ = 0;

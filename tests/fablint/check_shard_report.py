@@ -12,12 +12,13 @@ exactly the regression this test exists to catch.  Asserts:
   * a few load-bearing entries are present, matched as (class, member)
     pairs so a member name shared by several classes (three have a
     laned `lanes_`) cannot stand in for another: Network's topology
-    state and the runner's spill queue, the laned frame-id / pool
-    free-list arrays, the observer journal's lanes (the one barrier-
-    merge buffer: the wire digest folds through it too), the cross-
-    shard rings and the timing-wheel capability guards.  (Tracer ids
-    are per-NODE, not per-lane — they feed the wire digest and must
-    stay shard-count-invariant — so they are deliberately absent.)
+    state, the laned frame-id / pool free-list arrays, the observer
+    journal's lanes (the one barrier-merge buffer: the wire digest
+    folds through it too), and the timing-wheel capability guards —
+    the buckets and the outbox that carries every cross-shard handoff
+    to the barrier.  (Tracer ids are per-NODE, not per-lane — they
+    feed the wire digest and must stay shard-count-invariant — so they
+    are deliberately absent.)
 
 Usage: check_shard_report.py <fablint-binary> <src-dir>
 """
@@ -64,18 +65,16 @@ def main() -> int:
     expectations = [
         ("cross_shard_state", "objrpc::Network::node_up_",
          "Network's topology up/down map"),
-        ("cross_shard_state", "objrpc::ShardRunner::spill_",
-         "ShardRunner's overflow spill"),
         ("laned_state", "objrpc::Network::frame_id_lanes_",
          "laned frame-id allocators"),
         ("laned_state", "objrpc::BufferPool::lanes_",
          "laned pool free lists"),
         ("laned_state", "objrpc::obs::ShardJournal::lanes_",
          "the observer journal's lanes (the one barrier-merge buffer)"),
-        ("laned_state", "objrpc::ShardRunner::rings_",
-         "per-lane cross-shard rings"),
         ("shard_guarded_state", "objrpc::TimingWheel::buckets_",
          "TimingWheel buckets"),
+        ("shard_guarded_state", "objrpc::TimingWheel::outbox_",
+         "the wheels' cross-shard handoff outboxes"),
     ]
     for key, name, what in expectations:
         if name not in members(key):

@@ -2,8 +2,10 @@
 // produce the SAME wire bytes as the sequential loop — not statistically
 // close, byte-identical — across shard counts, seeds, loss, and crash
 // schedules.  Plus the failure modes: the lookahead-violation abort
-// (an unsound horizon must die loudly, not corrupt the digest) and the
-// bounded cross-shard rings overflowing into the counted spill path.
+// (an unsound horizon must die loudly, not corrupt the digest) and
+// cross-shard handoffs that grow a wheel's outbox, counted and still in
+// key order.  Direct cross-shard EventLoop::schedule_routed calls from
+// node callbacks take the same outbox handoff as frames.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -32,6 +34,10 @@ class SinkHost : public NetworkNode {
   void transmit(PortId port, Packet pkt) { send(port, std::move(pkt)); }
   std::uint64_t delivered = 0;
   std::uint64_t bytes = 0;
+  // Relay ledger (direct schedule_routed test): written only by events
+  // that execute as this host, so only on its own shard.
+  std::uint64_t ledger = 0;
+  std::uint64_t hops = 0;
 };
 
 /// Exact-match destination routing over a small leaf-spine (8 leaves so
@@ -44,7 +50,6 @@ struct TestFabric {
 struct FabricOpts {
   double loss_rate = 0.0;
   bool crash_spine = false;
-  std::size_t ring_capacity = 0;   // 0 = default
   SimDuration horizon_override = 0;
   bool arm_tracer = false;
   bool attach_tap = false;         // order-sensitive tap digest
@@ -104,6 +109,7 @@ struct RunResult {
   std::uint64_t digest_events = 0;
   std::uint64_t delivered = 0;
   std::uint64_t overflow = 0;
+  std::uint64_t cross_frames = 0;
   std::uint32_t shards = 0;
   bool concurrent = false;  // the runner drove at least one BSP epoch
   std::uint64_t epochs = 0;
@@ -134,7 +140,7 @@ RunResult run_fabric(std::uint64_t seed, std::uint32_t shards,
   build_test_fabric(f, o);
   if (o.arm_tracer) f.net.tracer().arm();
   if (o.attach_tap) {
-    f.net.set_tap([&r](NodeId from, NodeId to, const Packet& pkt) {
+    f.net.add_tap([&r](NodeId from, NodeId to, const Packet& pkt) {
       fold_tap(r.tap_digest, from, to, pkt);
       ++r.tap_events;
     });
@@ -143,9 +149,6 @@ RunResult run_fabric(std::uint64_t seed, std::uint32_t shards,
     f.net.enable_sharding(ShardPlan::leaf_spine(f.net, f.topo, shards));
   }
   if (ShardRunner* run = f.net.runner()) {
-    if (o.ring_capacity != 0) {
-      run->set_ring_capacity_for_test(o.ring_capacity);
-    }
     if (o.horizon_override != 0) {
       run->set_horizon_override_for_test(o.horizon_override);
     }
@@ -193,6 +196,7 @@ RunResult run_fabric(std::uint64_t seed, std::uint32_t shards,
   }
   if (const ShardRunner* runner = f.net.runner()) {
     r.overflow = runner->overflow_count();
+    r.cross_frames = runner->cross_frames();
     r.epochs = runner->epochs();
     r.concurrent = r.epochs > 0;
   }
@@ -319,15 +323,22 @@ TEST(ShardArmedTest, LossAndCrashWithObserversByteIdentical) {
 }
 
 TEST(ShardArmedTest, RingOverflowWithObserversByteIdentical) {
-  FabricOpts tiny;
-  tiny.ring_capacity = 1;
-  tiny.arm_tracer = true;
-  tiny.attach_tap = true;
-  const RunResult base = run_fabric(11, 1, tiny);
-  const RunResult p = run_fabric(11, 4, tiny);
-  EXPECT_GT(p.overflow, 0u);
+  // overflow_count() (shard/ring_overflow) counts the handoffs that had
+  // to grow a wheel's outbox.  Every outbox starts empty, so the first
+  // handoffs of a run must grow it, never more often than there are
+  // handoffs, and growing changes nothing about order — the digest,
+  // deliveries, tap fold and trace match the 1-shard run.
+  FabricOpts armed;
+  armed.arm_tracer = true;
+  armed.attach_tap = true;
+  const RunResult base = run_fabric(11, 1, armed);
+  const RunResult p = run_fabric(11, 4, armed);
   EXPECT_TRUE(p.concurrent);
+  EXPECT_GT(p.overflow, 0u);
+  EXPECT_LE(p.overflow, p.cross_frames);
   EXPECT_EQ(p.digest, base.digest);
+  EXPECT_EQ(p.delivered, base.delivered);
+  EXPECT_EQ(p.tap_events, base.tap_events);
   EXPECT_EQ(p.tap_digest, base.tap_digest);
   EXPECT_EQ(p.trace_json, base.trace_json);
 }
@@ -354,16 +365,108 @@ TEST(ShardMetrics, SnapshotAtEveryEpochBarrierIsCoherent) {
   EXPECT_EQ(p.delivered, base.delivered);
 }
 
-// --- backpressure -----------------------------------------------------------
+// --- direct cross-shard schedule_routed ------------------------------------
 
-TEST(ShardRunnerTest, RingOverflowSpillsWithoutDivergence) {
-  const RunResult base = run_fabric(11, 1);
-  FabricOpts tiny;
-  tiny.ring_capacity = 1;  // every epoch's 2nd+ cross frame spills
-  const RunResult p = run_fabric(11, 4, tiny);
-  EXPECT_GT(p.overflow, 0u);
-  EXPECT_EQ(p.digest, base.digest);
-  EXPECT_EQ(p.delivered, base.delivered);
+struct RelayRun {
+  std::uint64_t digest = 0;
+  std::uint64_t delivered = 0;
+  std::vector<std::uint64_t> ledgers;
+  std::vector<std::uint64_t> hops;
+  std::uint64_t cross_frames = 0;
+  bool concurrent = false;
+};
+
+std::uint64_t relay_mix(std::uint64_t a, std::uint64_t b) {
+  a ^= b + 0x9E3779B97F4A7C15ULL + (a << 6) + (a >> 2);
+  return a;
+}
+
+/// One hop of a relay that crosses shards WITHOUT a frame.  It runs as
+/// host `idx`, folds (now, token) into that host's ledger, sends one
+/// frame, then calls EventLoop::schedule_routed directly for a host
+/// under another leaf (so, at 2 or 4 shards, usually another shard),
+/// at least one lookahead ahead — the bound every handoff relies on.
+void relay_hop(TestFabric* f, std::uint32_t idx, std::uint32_t left,
+               std::uint64_t token) {
+  Network& net = f->net;
+  const LeafSpineParams& p = f->topo.params;
+  const auto n = static_cast<std::uint32_t>(f->topo.host_count());
+  auto& host = static_cast<SinkHost&>(net.node(f->topo.hosts[idx]));
+  host.ledger = relay_mix(
+      relay_mix(host.ledger, static_cast<std::uint64_t>(net.now())), token);
+  ++host.hops;
+  const std::uint32_t to =
+      (idx + 1 + static_cast<std::uint32_t>(token % (n - 1))) % n;
+  Packet pkt;
+  pkt.data.assign(64 + token % 200, static_cast<std::uint8_t>(token));
+  for (int b = 0; b < 8; ++b) {
+    pkt.data[static_cast<std::size_t>(b)] =
+        static_cast<std::uint8_t>(std::uint64_t{to} >> (8 * b));
+  }
+  host.transmit(0, std::move(pkt));
+  if (left == 0) return;
+  const std::uint32_t leaf = idx / p.hosts_per_leaf;
+  const std::uint32_t next_leaf =
+      (leaf + 1 + static_cast<std::uint32_t>(token % (p.leaves - 1))) %
+      p.leaves;
+  const std::uint32_t next =
+      next_leaf * p.hosts_per_leaf +
+      static_cast<std::uint32_t>((token >> 8) % p.hosts_per_leaf);
+  const std::uint64_t next_token = relay_mix(token, idx);
+  const SimTime at =
+      net.now() + p.fabric_link.latency + static_cast<SimTime>(token % 500);
+  net.loop().schedule_routed(f->topo.hosts[next], at,
+                             [f, next, left, next_token] {
+                               relay_hop(f, next, left - 1, next_token);
+                             });
+}
+
+RelayRun run_relay(std::uint32_t shards) {
+  TestFabric f{Network(29), {}};
+  build_test_fabric(f, {});
+  if (shards > 1) {
+    f.net.enable_sharding(ShardPlan::leaf_spine(f.net, f.topo, shards));
+  }
+  f.net.arm_wire_digest();
+  const auto n = static_cast<std::uint32_t>(f.topo.host_count());
+  for (std::uint32_t c = 0; c < 16; ++c) {
+    const std::uint32_t idx = (c * 5) % n;
+    TestFabric* fp = &f;
+    f.net.schedule_on(f.topo.hosts[idx], c * 300, [fp, idx, c] {
+      relay_hop(fp, idx, /*left=*/40, /*token=*/c + 1);
+    });
+  }
+  f.net.loop().run();
+  RelayRun r;
+  r.digest = f.net.wire_digest();
+  for (NodeId h : f.topo.hosts) {
+    const auto& host = static_cast<const SinkHost&>(f.net.node(h));
+    r.delivered += host.delivered;
+    r.ledgers.push_back(host.ledger);
+    r.hops.push_back(host.hops);
+  }
+  if (const ShardRunner* runner = f.net.runner()) {
+    r.cross_frames = runner->cross_frames();
+    r.concurrent = runner->epochs() > 0;
+  }
+  return r;
+}
+
+TEST(ShardRoutedTest, DirectCrossShardScheduleRoutedByteIdentical) {
+  const RelayRun base = run_relay(1);
+  std::uint64_t total_hops = 0;
+  for (std::uint64_t h : base.hops) total_hops += h;
+  EXPECT_EQ(total_hops, 16u * 41u);
+  EXPECT_EQ(base.delivered, total_hops);
+  for (std::uint32_t shards : {2u, 4u}) {
+    const RelayRun p = run_relay(shards);
+    EXPECT_TRUE(p.concurrent) << shards << " shards";
+    EXPECT_GT(p.cross_frames, 0u) << shards << " shards";
+    EXPECT_EQ(p.ledgers, base.ledgers) << shards << " shards";
+    EXPECT_EQ(p.hops, base.hops) << shards << " shards";
+    EXPECT_EQ(p.digest, base.digest) << shards << " shards";
+    EXPECT_EQ(p.delivered, base.delivered) << shards << " shards";
+  }
 }
 
 // --- horizon arithmetic -----------------------------------------------------
