@@ -156,11 +156,13 @@ int main() {
         return;
       }
     });
-    // Step until the prefetch chain lands all four objects, so the
-    // latency excludes idle retry timers still parked on the loop.
+    // Advance a microsecond at a time until the prefetch chain lands all
+    // four objects, so the latency excludes idle retry timers still
+    // parked on the loop.
     auto& loop = w.cluster->loop();
     while (w.cluster->fetcher(0).counters().fetches_completed < 4 &&
-           loop.step()) {
+           !loop.empty()) {
+      loop.run_until(loop.now() + kMicrosecond);
     }
     const SimDuration fetch_latency = loop.now() - start;
     w.cluster->settle();

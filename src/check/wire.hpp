@@ -19,6 +19,7 @@
 #include <cstdint>
 #include <string>
 
+#include "common/rng.hpp"
 #include "net/objnet.hpp"
 
 namespace objrpc::check {
@@ -54,17 +55,9 @@ class Digest {
  public:
   static constexpr std::uint64_t kSeed = 0x243F6A8885A308D3ULL;
 
-  static std::uint64_t mix(std::uint64_t x) {
-    x ^= x >> 30;
-    x *= 0xBF58476D1CE4E5B9ULL;
-    x ^= x >> 27;
-    x *= 0x94D049BB133111EBULL;
-    x ^= x >> 31;
-    return x;
-  }
-
   void fold(std::uint64_t x) {
-    state_ = mix(state_ ^ mix(x + 0x9E3779B97F4A7C15ULL));
+    state_ = SplitMix64::mix(state_ ^
+                             SplitMix64::mix(x + 0x9E3779B97F4A7C15ULL));
   }
   void fold_event(const WireEvent& ev);
 

@@ -20,7 +20,12 @@ class SplitMix64 {
   explicit constexpr SplitMix64(std::uint64_t seed) : state_(seed) {}
 
   constexpr std::uint64_t next() {
-    std::uint64_t z = (state_ += 0x9e3779b97f4a7c15ULL);
+    return mix(state_ += 0x9e3779b97f4a7c15ULL);
+  }
+
+  /// The splitmix64 finalizer: a bijective 64-bit avalanche mix.  Also
+  /// the fold step of the wire digest and the checker's digest.
+  static constexpr std::uint64_t mix(std::uint64_t z) {
     z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
     z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
     return z ^ (z >> 31);

@@ -143,29 +143,8 @@ class Cluster {
 
 // --- inline/template implementations ---
 
-template <typename Crdt>
-Result<Crdt> Cluster::merge_crdt_payload(ObjectPtr obj, std::uint64_t offset,
-                                         const Crdt& incoming) {
-  // Layout: u32 length, then the encoded CRDT state.
-  auto len_raw = obj->read(offset, 4);
-  if (!len_raw) return len_raw.error();
-  std::uint32_t len;
-  std::memcpy(&len, len_raw->data(), 4);
-  auto body = obj->read(offset + 4, len);
-  if (!body) return body.error();
-  auto local = Crdt::decode(*body);
-  if (!local) return local.error();
-  local->merge(incoming);
-  const Bytes merged = local->encode();
-  BufWriter w(4 + merged.size());
-  w.put_u32(static_cast<std::uint32_t>(merged.size()));
-  w.put_bytes(merged);
-  if (Status s = obj->write(offset, w.view()); !s) return s.error();
-  return std::move(*local);
-}
-
-/// Write an initial CRDT state into an object at `offset` using the
-/// layout merge_crdt_payload expects.  Returns bytes consumed.
+/// Write a CRDT state into an object at `offset` (layout: u32 length,
+/// then the encoded state).  Returns bytes consumed.
 template <typename Crdt>
 Result<std::uint64_t> store_crdt_payload(ObjectPtr obj, std::uint64_t offset,
                                          const Crdt& value) {
@@ -187,6 +166,18 @@ Result<Crdt> load_crdt_payload(const ObjectPtr& obj, std::uint64_t offset) {
   auto body = obj->read(offset + 4, len);
   if (!body) return body.error();
   return Crdt::decode(*body);
+}
+
+template <typename Crdt>
+Result<Crdt> Cluster::merge_crdt_payload(ObjectPtr obj, std::uint64_t offset,
+                                         const Crdt& incoming) {
+  auto local = load_crdt_payload<Crdt>(obj, offset);
+  if (!local) return local.error();
+  local->merge(incoming);
+  if (auto stored = store_crdt_payload(obj, offset, *local); !stored) {
+    return stored.error();
+  }
+  return std::move(*local);
 }
 
 }  // namespace objrpc

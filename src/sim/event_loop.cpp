@@ -95,10 +95,10 @@ void TimingWheel::schedule(SimTime at, std::uint64_t key_a,
 void TimingWheel::place(std::uint32_t idx, bool cascading) {
   const auto at = static_cast<std::uint64_t>(entries_[idx].at);
   if (!cascading && at < tick_) {
-    // Cursor rollback: step() and the parallel coordinator peek every
-    // wheel's next event, which can park an idle wheel's cursor well
-    // past the global execution point; a cross-wheel schedule may then
-    // land behind it.
+    // Cursor rollback: the parallel runner peeks every wheel's next
+    // event (the epoch's M), which can park an idle wheel's cursor well
+    // past the global execution point; a cross-wheel handoff may then
+    // land behind it at the barrier.
     // Moving the cursor back is safe — nothing between `at` and the old
     // cursor has executed — but level-0 slots become window-ambiguous,
     // which next_time resolves by checking entry times (and place by
@@ -353,13 +353,6 @@ SimTime TimingWheel::next_time(SimTime limit) {
   }
 }
 
-void TimingWheel::head_key(std::uint64_t& key_a, std::uint64_t& key_b) {
-  shard_.assert_held();
-  const Entry& e = entries_[buckets_[0][tick_ & (kSlots - 1)].head];
-  key_a = e.key_a;
-  key_b = e.key_b;
-}
-
 void TimingWheel::pop_run_raw() {
   shard_.assert_held();
   const std::size_t slot = tick_ & (kSlots - 1);
@@ -393,14 +386,6 @@ void TimingWheel::pop_run_raw() {
   fn.reset();
   entries_[idx].next = free_head_;
   free_head_ = idx;
-}
-
-void TimingWheel::pop_run() {
-  const EventLoop::SchedCtx saved = EventLoop::tls_ctx_;
-  const std::uint32_t saved_lane = ExecLane::idx;
-  pop_run_raw();
-  ExecLane::idx = saved_lane;
-  EventLoop::tls_ctx_ = saved;
 }
 
 void TimingWheel::drain_current_tick_raw() {
@@ -594,19 +579,6 @@ std::uint64_t EventLoop::drain_outboxes() {
   return moved;
 }
 
-void EventLoop::drain_control_at(SimTime tc) {
-  if (tc > global_now_) global_now_ = tc;
-  control_.set_now(tc);
-  const SchedCtx saved = tls_ctx_;
-  const std::uint32_t saved_lane = ExecLane::idx;
-  while (control_.next_time(tc) == tc) {
-    control_.pop_run_raw();
-    control_.drain_current_tick_raw();
-  }
-  ExecLane::idx = saved_lane;
-  tls_ctx_ = saved;
-}
-
 EventLoop::ObserverReplayScope::ObserverReplayScope(EventLoop& loop)
     : loop_(loop), saved_ctx_(tls_ctx_), saved_lane_(ExecLane::idx) {
   tls_ctx_ = SchedCtx{&loop, &loop.control_, kExternalSource, 0, 0};
@@ -625,7 +597,27 @@ void EventLoop::ObserverReplayScope::advance(SimTime at) {
   loop_.control_.set_now(at);
 }
 
-void EventLoop::run_core(SimTime deadline) {
+void EventLoop::run_segments(SimTime deadline) {
+  for (;;) {
+    // Control events (lane 0) precede shard events (lane 1) at the same
+    // tick, so a shard segment covers only times strictly before the
+    // next control time.
+    const SimTime tc = control_.next_time(deadline);
+    const SimTime limit = tc == kNoEventTime ? deadline : tc - 1;
+    // A segment can schedule control events (an epoch's barrier replay
+    // runs as the control lane), so look again after each one.
+    if (limit >= 0 && run_shard_segment(limit)) continue;
+    if (tc == kNoEventTime) return;
+    // Drain every control event at exactly tc (children at tc included:
+    // they sort after their parents by seq).
+    if (tc > global_now_) global_now_ = tc;
+    control_.set_now(tc);
+    control_.run_until(tc);
+  }
+}
+
+bool EventLoop::run_shard_segment(SimTime limit) {
+  if (driver_ != nullptr) return driver_->run_epoch(limit);
   if (wheels_.size() != 1) {
     std::fprintf(stderr,
                  "EventLoop: %zu shard wheels but no parallel driver "
@@ -634,72 +626,27 @@ void EventLoop::run_core(SimTime deadline) {
     std::abort();
   }
   TimingWheel& w = *wheels_[0];
-  for (;;) {
-    const SimTime tc = control_.next_time(deadline);
-    // Shard events strictly before the next control time: control
-    // events (lane 0) precede shard events (lane 1) at the same tick.
-    const SimTime limit = tc == kNoEventTime ? deadline : tc - 1;
-    if (limit >= 0) {
-      w.run_until(limit);
-      if (w.now() > global_now_) global_now_ = w.now();
-    }
-    if (tc == kNoEventTime) return;
-    drain_control_at(tc);
-  }
+  const std::uint64_t before = w.events_executed();
+  w.run_until(limit);
+  if (w.now() > global_now_) global_now_ = w.now();
+  return w.events_executed() != before;
 }
 
-void EventLoop::settle_clocks(SimTime t) {
+void EventLoop::settle(SimTime t) {
   if (t > global_now_) global_now_ = t;
   control_.set_now(global_now_);
   for (auto& w : wheels_) w->set_now(global_now_);
-}
-
-bool EventLoop::step() {
-  constexpr SimTime kLim = std::numeric_limits<SimTime>::max();
-  TimingWheel* best = nullptr;
-  SimTime best_at = 0;
-  std::uint64_t best_a = 0;
-  std::uint64_t best_b = 0;
-  auto consider = [&](TimingWheel* w) {
-    const SimTime t = w->next_time(kLim);
-    if (t == kNoEventTime) return;
-    std::uint64_t a = 0;
-    std::uint64_t b = 0;
-    w->head_key(a, b);
-    if (best == nullptr || t < best_at ||
-        (t == best_at && (a < best_a || (a == best_a && b < best_b)))) {
-      best = w;
-      best_at = t;
-      best_a = a;
-      best_b = b;
-    }
-  };
-  consider(&control_);
-  for (auto& w : wheels_) consider(w.get());
-  if (best == nullptr) return false;
-  best->pop_run();
-  if (best_at > global_now_) global_now_ = best_at;
-  return true;
-}
-
-void EventLoop::run() {
-  if (driver_ != nullptr) {
-    driver_->run_until(std::numeric_limits<SimTime>::max());
-  } else {
-    run_core(std::numeric_limits<SimTime>::max());
-  }
-  settle_clocks(global_now_);
   if (drain_hook_ && pending() == 0) drain_hook_();
 }
 
+void EventLoop::run() {
+  run_segments(std::numeric_limits<SimTime>::max());
+  settle(global_now_);
+}
+
 void EventLoop::run_until(SimTime deadline) {
-  if (driver_ != nullptr) {
-    driver_->run_until(deadline);
-  } else {
-    run_core(deadline);
-  }
-  settle_clocks(deadline);
-  if (pending() == 0 && drain_hook_) drain_hook_();
+  run_segments(deadline);
+  settle(deadline);
 }
 
 }  // namespace objrpc

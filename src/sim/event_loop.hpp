@@ -19,7 +19,11 @@
 // Sharded execution (DESIGN.md §16): the loop is a facade over one
 // CONTROL wheel (external and coordinator-scheduled events: injection,
 // crash/revive, test drivers) plus K SHARD wheels, partitioned over
-// event sources (nodes) by sim/shard's topology planners.  Every event
+// event sources (nodes) by sim/shard's topology planners.  One segment
+// loop advances time at every K: it runs shard events up to just
+// before the next control time (the single wheel's tight loop at K = 1,
+// one BSP epoch of the parallel runner at K > 1), looks at the control
+// lane again, and drains the control events at that time.  Every event
 // carries a canonical key
 //
 //     (at, key_a, key_b)
@@ -62,7 +66,7 @@ constexpr std::uint32_t kExternalSource = 0x00FFFFFFu;
 /// K shard wheels.  With K = 1 it drives its one shard wheel itself;
 /// with K > 1 the parallel runner (sim/shard) hands each shard wheel to
 /// a worker thread, which acquires its ShardCap for the duration of an
-/// epoch.
+/// epoch.  The control wheel always runs on the loop's own thread.
 class TimingWheel {
  public:
   using Callback = SmallFn;
@@ -97,13 +101,8 @@ class TimingWheel {
   /// `limit`) when there is none.  Sorts the destination bucket on
   /// first arrival at a tick.
   HOT_PATH SimTime next_time(SimTime limit);
-  /// Key of the event next_time stopped on (valid only immediately
-  /// after a successful next_time, before any schedule into this tick).
-  void head_key(std::uint64_t& key_a, std::uint64_t& key_b);
-  /// Pop and execute the head of the level-0 bucket at the cursor,
-  /// leaving the thread's scheduling context exactly as found.
-  HOT_PATH void pop_run();
-  /// Tight loop: run every event with time <= `limit`.
+  /// Tight loop: run every event with time <= `limit`, leaving the
+  /// thread's scheduling context exactly as found.
   void run_until(SimTime limit);
 
   /// One event lifted out of a wheel with its key and callback, for the
@@ -215,13 +214,11 @@ class TimingWheel {
   /// hand_off(): `at` is before the scheduler's clock `floor`, so count
   /// it and clamp to `floor`, or abort under strict mode.
   SimTime clamp_past(SimTime at, SimTime floor);
-  /// pop_run minus the scheduling-context epilogue: leaves tls_ctx_ /
-  /// ExecLane pointing at the event just run.  For drain loops (and
-  /// EventLoop's control drain, via friendship) that pop many events
-  /// back to back — the next pop overwrites the context wholesale, so
-  /// per-event restores are pure overhead; the LOOP restores once on
-  /// exit.  Callers MUST save both before the first call and restore
-  /// after the last.
+  /// Pop and execute the head of the level-0 bucket at the cursor,
+  /// leaving tls_ctx_ / ExecLane pointing at the event just run.  Only
+  /// run_until calls it: the next pop overwrites the context wholesale,
+  /// so per-event restores would be pure overhead; run_until saves the
+  /// context before its first pop and restores it after its last.
   HOT_PATH void pop_run_raw();
   /// Pop the rest of the current tick without re-running next_time.
   /// Sound only right after a pop at this tick: next_time sorted the
@@ -242,9 +239,10 @@ class TimingWheel {
   std::uint64_t tick_ SHARD_GUARDED_BY(shard_) = 0;
   /// Tick whose level-0 bucket is currently key-sorted (kNoTick: none).
   std::uint64_t sorted_tick_ SHARD_GUARDED_BY(shard_) = kNoTick;
-  /// Lower bound on every pending event time.  Lets step() and the
-  /// parallel coordinator ask "anything <= limit?" of an idle wheel
-  /// without re-scanning its windows each iteration.
+  /// Lower bound on every pending event time.  Lets the segment loop
+  /// (control lane) and the parallel runner's M-peek ask "anything <=
+  /// limit?" of an idle wheel without re-scanning its windows each
+  /// iteration.
   SimTime min_bound_ SHARD_GUARDED_BY(shard_) = 0;
   std::size_t size_ = 0;
   std::uint64_t executed_ = 0;
@@ -345,10 +343,6 @@ class EventLoop {
     tls_ctx_ = saved;
   }
 
-  /// Run one event — the canonical-key minimum across every wheel, on
-  /// the calling thread at any K (no BSP epoch can run exactly one
-  /// event).  Returns false when every wheel is empty.
-  bool step();
   /// Run until every wheel drains.
   void run();
   /// Run until drained or virtual time would pass `deadline`; events at
@@ -374,14 +368,16 @@ class EventLoop {
     return src < wheel_of_.size() ? wheel_of_[src] : 0;
   }
   TimingWheel& wheel(std::uint32_t i) { return *wheels_[i]; }
-  TimingWheel& control_wheel() { return control_; }
 
   /// Installed by sim/shard's ShardRunner whenever the loop has K > 1
-  /// shard wheels; run_until/run then delegate whole segments to it.
-  /// K = 1 runs on the facade's own single-wheel loop.
+  /// shard wheels; the segment loop then runs shard events one BSP
+  /// epoch at a time through it.  K = 1 runs the single wheel directly.
   struct ParallelDriver {
     virtual ~ParallelDriver() = default;
-    virtual void run_until(SimTime deadline) = 0;
+    /// Run one epoch of shard events, none later than `limit`, and
+    /// merge the barrier.  Returns false, running nothing, when no
+    /// shard event is due at or before `limit`.
+    virtual bool run_epoch(SimTime limit) = 0;
   };
   void set_parallel_driver(ParallelDriver* d) { driver_ = d; }
 
@@ -405,7 +401,7 @@ class EventLoop {
   /// (so pool releases land on the control free list and
   /// in_control_context() holds) and lets advance() present each
   /// record's delivery time as now() — the same clock the observer
-  /// would have read inline.  Safe to interleave with the epoch loop:
+  /// would have read inline.  Safe to interleave with the segment loop:
   /// replayed times never exceed the epoch horizon, and set_now only
   /// moves a clock forward, so the next control drain is unaffected.
   class ObserverReplayScope {
@@ -476,14 +472,17 @@ class EventLoop {
   /// Barrier half of the cross-wheel handoff: re-home every wheel's
   /// outbox.  Runner-only, workers parked.  Returns the records moved.
   std::uint64_t drain_outboxes();
-  /// Drain every control event at exactly time `tc` (children at tc
-  /// included — they sort after their parents by seq).
-  void drain_control_at(SimTime tc);
-  /// The K = 1 driver: alternate the shard wheel's tight loop with
-  /// control drains up to `deadline`.
-  void run_core(SimTime deadline);
-  /// Floor every wheel clock and the global clock to `t`.
-  void settle_clocks(SimTime t);
+  /// The segment loop behind run() and run_until(): alternate shard
+  /// segments (strictly before the next control time) with drains of
+  /// the control events at that time, until nothing is due by
+  /// `deadline`.
+  void run_segments(SimTime deadline);
+  /// Run shard events up to `limit`: the single wheel's tight loop at
+  /// K = 1, one parallel epoch at K > 1.  Returns whether anything ran.
+  bool run_shard_segment(SimTime limit);
+  /// Floor every wheel clock and the global clock to `t`, then fire the
+  /// drain hook if nothing is pending.
+  void settle(SimTime t);
 
   TimingWheel control_;
   std::vector<std::unique_ptr<TimingWheel>> wheels_;
@@ -503,8 +502,8 @@ class EventLoop {
   DrainHook drain_hook_;
 
   friend class TimingWheel;
-  /// The parallel runner drives the private control drain, the wheel
-  /// set, the epoch flag and the outbox drain from its coordinator loop.
+  /// The parallel runner reads the wheel set and the global clock, and
+  /// drives the epoch flag and the outbox drain from its epoch.
   friend class ShardRunner;
 };
 

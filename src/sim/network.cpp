@@ -6,6 +6,7 @@
 
 #include "common/env_flag.hpp"
 #include "common/log.hpp"
+#include "common/rng.hpp"
 #include "sim/shard.hpp"
 
 namespace objrpc {
@@ -17,16 +18,6 @@ std::uint64_t pair_key(NodeId a, NodeId b) {
   const NodeId lo = a < b ? a : b;
   const NodeId hi = a < b ? b : a;
   return (static_cast<std::uint64_t>(lo) << 32) | hi;
-}
-
-/// splitmix-style finalizer, the same shape the checker's digest uses.
-std::uint64_t mix64(std::uint64_t x) {
-  x ^= x >> 30;
-  x *= 0xBF58476D1CE4E5B9ull;
-  x ^= x >> 27;
-  x *= 0x94D049BB133111EBull;
-  x ^= x >> 31;
-  return x;
 }
 
 constexpr std::uint64_t kWireDigestSeed = 0x9E3779B97F4A7C15ull;
@@ -331,10 +322,11 @@ void Network::deliver_now(NodeId from, NodeId dst, PortId dst_port,
 void Network::fold_wire_digest(NodeId from, NodeId dst, const Packet& pkt) {
   const SimTime at = loop_.now();
   std::uint64_t h = kWireDigestSeed;
-  h = mix64(h ^ static_cast<std::uint64_t>(at));
-  h = mix64(h ^ ((static_cast<std::uint64_t>(from) << 32) | dst));
-  h = mix64(h ^ pkt.wire_size());
-  h = mix64(h ^ ((static_cast<std::uint64_t>(pkt.tenant) << 32) | pkt.hops));
+  h = SplitMix64::mix(h ^ static_cast<std::uint64_t>(at));
+  h = SplitMix64::mix(h ^ ((static_cast<std::uint64_t>(from) << 32) | dst));
+  h = SplitMix64::mix(h ^ pkt.wire_size());
+  h = SplitMix64::mix(
+      h ^ ((static_cast<std::uint64_t>(pkt.tenant) << 32) | pkt.hops));
   // Full payload bytes: 8-byte words plus tail, so any payload
   // divergence — not just size — breaks the digest.
   const Bytes& d = pkt.data;
@@ -344,15 +336,16 @@ void Network::fold_wire_digest(NodeId from, NodeId dst, const Packet& pkt) {
     for (std::size_t b = 0; b < 8; ++b) {
       w |= static_cast<std::uint64_t>(d[i + b]) << (8 * b);
     }
-    h = mix64(h ^ w);
+    h = SplitMix64::mix(h ^ w);
   }
   std::uint64_t tail = 0;
   for (std::size_t b = 0; i + b < d.size(); ++b) {
     tail |= static_cast<std::uint64_t>(d[i + b]) << (8 * b);
   }
-  h = mix64(h ^ tail ^ (static_cast<std::uint64_t>(d.size()) << 48));
+  h = SplitMix64::mix(h ^ tail ^
+                      (static_cast<std::uint64_t>(d.size()) << 48));
   journal_.run_or_defer([this, h] {
-    wire_digest_chain_ = mix64(wire_digest_chain_ ^ h);
+    wire_digest_chain_ = SplitMix64::mix(wire_digest_chain_ ^ h);
     ++wire_digest_count_;
   });
 }

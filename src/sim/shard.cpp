@@ -137,61 +137,50 @@ ShardRunner::~ShardRunner() {
   for (std::thread& t : threads_) t.join();
 }
 
-void ShardRunner::run_until(SimTime deadline) {
+bool ShardRunner::run_epoch(SimTime limit) {
   EventLoop& loop = net_.loop_;
-  for (;;) {
-    // Control events at tc precede shard events at tc (lane bit), so
-    // shard epochs may only cover times strictly below the next control
-    // time.
-    const SimTime tc = loop.control_.next_time(deadline);
-    const SimTime limit = tc == kNoEventTime ? deadline : tc - 1;
-    // M: the earliest pending shard event.  next_time's min_bound fast
-    // path makes this scan cheap for idle wheels.
-    SimTime ms = kNoEventTime;
-    if (limit >= 0) {
-      for (auto& w : loop.wheels_) {
-        const SimTime t = w->next_time(limit);
-        if (t != kNoEventTime && (ms == kNoEventTime || t < ms)) ms = t;
-      }
-    }
-    if (ms == kNoEventTime) {
-      if (tc == kNoEventTime) return;  // drained up to the deadline
-      loop.drain_control_at(tc);
-      continue;
-    }
-    // Conservative horizon: every shard may run events in [M, M + L)
-    // without receiving behind its clock — a cross-shard frame sent at
-    // t >= M arrives at t + serialization + L > M + L.  The override
-    // hook widens L past the proof for the violation-abort test.
-    const SimDuration la =
-        horizon_override_ > 0 ? horizon_override_ : lookahead_;
-    // Inclusive epoch limit, clamped to `limit` without computing
-    // ms + la - 1 when it would overflow (ms <= limit, la >= 1).
-    const SimTime run_to = ms > limit - (la - 1) ? limit : ms + la - 1;
-    obs::ShardProfiler& prof = net_.shard_profiler_;
-    if (prof.armed()) prof.begin_epoch(epoch_seq_ + 1);
-    run_epoch(run_to);
-    // Barrier work, workers parked: land cross-shard handoffs (keys
-    // intact) and replay journaled observer records — digest folds
-    // included — in canonical order.
-    if (prof.armed()) {
-      prof.end_epoch();
-      for (std::uint32_t i = 0; i < shards_; ++i) {
-        prof.sample_outbox(i, loop.wheel(i).outbox_depth());
-      }
-      prof.begin_drain();
-    }
-    cross_frames_ += loop.drain_outboxes();
-    net_.replay_observer_journal();
-    for (auto& w : loop.wheels_) {
-      if (w->now() > loop.global_now_) loop.global_now_ = w->now();
-    }
-    if (prof.armed()) prof.end_drain(cross_frames_, overflow_count());
-    net_.on_epoch_barrier();
+  // M: the earliest pending shard event.  next_time's min_bound fast
+  // path makes this scan cheap for idle wheels.
+  SimTime ms = kNoEventTime;
+  for (auto& w : loop.wheels_) {
+    const SimTime t = w->next_time(limit);
+    if (t != kNoEventTime && (ms == kNoEventTime || t < ms)) ms = t;
   }
+  if (ms == kNoEventTime) return false;
+  // Conservative horizon: every shard may run events in [M, M + L)
+  // without receiving behind its clock — a cross-shard frame sent at
+  // t >= M arrives at t + serialization + L > M + L.  The override
+  // hook widens L past the proof for the violation-abort test.
+  const SimDuration la =
+      horizon_override_ > 0 ? horizon_override_ : lookahead_;
+  // Inclusive epoch limit, clamped to `limit` without computing
+  // ms + la - 1 when it would overflow (ms <= limit, la >= 1).
+  const SimTime run_to = ms > limit - (la - 1) ? limit : ms + la - 1;
+  obs::ShardProfiler& prof = net_.shard_profiler_;
+  if (prof.armed()) prof.begin_epoch(epoch_seq_ + 1);
+  run_workers(run_to);
+  // Barrier work, workers parked: land cross-shard handoffs (keys
+  // intact) and replay journaled observer records — digest folds
+  // included — in canonical order.
+  if (prof.armed()) {
+    prof.end_epoch();
+    for (std::uint32_t i = 0; i < shards_; ++i) {
+      prof.sample_outbox(i, loop.wheel(i).outbox_depth());
+    }
+    prof.begin_drain();
+  }
+  cross_frames_ += loop.drain_outboxes();
+  net_.replay_observer_journal();
+  // Barrier hooks read now(): merge the wheel clocks first.
+  for (auto& w : loop.wheels_) {
+    if (w->now() > loop.global_now_) loop.global_now_ = w->now();
+  }
+  if (prof.armed()) prof.end_drain(cross_frames_, overflow_count());
+  net_.on_epoch_barrier();
+  return true;
 }
 
-void ShardRunner::run_epoch(SimTime limit) {
+void ShardRunner::run_workers(SimTime limit) {
   {
     std::lock_guard<std::mutex> lk(mu_);
     epoch_limit_ = limit;

@@ -8,12 +8,14 @@
 // if every shard has executed all events with time < M, then any
 // cross-shard frame still unsent leaves at some t >= M and arrives at
 // t + serialization + L > M + L — so all shards may run freely up to
-// the horizon H = min(M + L, next control time, deadline + 1) without
-// ever receiving a frame behind their clock.  Epochs are BSP rounds:
-// release workers to H-1, park them at a barrier, re-home every wheel's
-// outbox of cross-wheel handoffs (EventLoop::schedule_routed parks them
-// there mid-epoch), replay the observer journal (obs/journal.hpp — the
-// wire digest folds through it too), repeat.
+// the horizon H = min(M + L, segment limit + 1) without ever receiving a
+// frame behind their clock; the event loop's segment loop sets the limit
+// just before the next control time (or at the deadline).  Epochs are
+// BSP rounds: release workers to H-1, park them at a barrier, re-home
+// every wheel's outbox of cross-wheel handoffs
+// (EventLoop::schedule_routed parks them there mid-epoch), replay the
+// observer journal (obs/journal.hpp — the wire digest folds through it
+// too).  The loop calls run_epoch again until no shard event is due.
 //
 // Determinism (the non-negotiable): event ORDER is a pure function of
 // the canonical key set (see sim/event_loop.hpp), and every key is
@@ -96,8 +98,9 @@ class ShardRunner final : public EventLoop::ParallelDriver {
   ShardRunner(const ShardRunner&) = delete;
   ShardRunner& operator=(const ShardRunner&) = delete;
 
-  /// EventLoop::ParallelDriver.
-  void run_until(SimTime deadline) override;
+  /// EventLoop::ParallelDriver: peek M, run one epoch to the horizon,
+  /// and merge the barrier.
+  bool run_epoch(SimTime limit) override;
 
   /// Handoffs that had to grow a wheel's outbox — the cross-shard
   /// handoff's one allocation point (read at barriers or quiesce).
@@ -115,10 +118,10 @@ class ShardRunner final : public EventLoop::ParallelDriver {
   void set_horizon_override_for_test(SimDuration h) { horizon_override_ = h; }
 
  private:
-  /// Run one BSP epoch: every worker drives its wheel to `limit`
-  /// (inclusive), then parks.  Caller drains the outboxes and replays
-  /// the observer journal.
-  void run_epoch(SimTime limit);
+  /// Release the workers: each drives its wheel to `limit` (inclusive),
+  /// then parks.  Caller drains the outboxes and replays the observer
+  /// journal.
+  void run_workers(SimTime limit);
   void worker_main(std::uint32_t lane);
 
   Network& net_;

@@ -287,8 +287,12 @@ TEST_P(ArmedConcurrent, ShardedRunMatchesSerialByteForByte) {
   const auto [tracer, checker] = GetParam();
   const ObsProducts base = run_armed_fetch(29, nullptr, tracer, checker);
   EXPECT_FALSE(base.concurrent);
-  if (tracer) ASSERT_FALSE(base.trace_json.empty());
-  if (checker) ASSERT_GT(base.checker_events, 0u);
+  if (tracer) {
+    ASSERT_FALSE(base.trace_json.empty());
+  }
+  if (checker) {
+    ASSERT_GT(base.checker_events, 0u);
+  }
   for (const char* n : {"2", "4", "8"}) {
     const ObsProducts p = run_armed_fetch(29, n, tracer, checker);
     // Armed observers run on the parallel driver (§17)...
@@ -309,10 +313,10 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(std::make_tuple(true, false),
                       std::make_tuple(false, true),
                       std::make_tuple(true, true)),
-    [](const ::testing::TestParamInfo<std::tuple<bool, bool>>& info) {
+    [](const ::testing::TestParamInfo<std::tuple<bool, bool>>& param) {
       std::string name;
-      if (std::get<0>(info.param)) name += "Tracer";
-      if (std::get<1>(info.param)) name += "Checker";
+      if (std::get<0>(param.param)) name += "Tracer";
+      if (std::get<1>(param.param)) name += "Checker";
       return name;
     });
 

@@ -5,7 +5,9 @@
 // (an unsound horizon must die loudly, not corrupt the digest) and
 // cross-shard handoffs that grow a wheel's outbox, counted and still in
 // key order.  Direct cross-shard EventLoop::schedule_routed calls from
-// node callbacks take the same outbox handoff as frames.
+// node callbacks take the same outbox handoff as frames.  Control and
+// shard events that tie at one tick run in the same order at every
+// shard count, control first.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -502,6 +504,102 @@ SimTime fire_far_future_timer(std::uint32_t shards) {
 TEST(ShardRunnerTest, FarFutureTimerFiresAtEveryShardCount) {
   EXPECT_EQ(fire_far_future_timer(1), kFarFuture);
   EXPECT_EQ(fire_far_future_timer(2), kFarFuture);
+}
+
+// --- control/shard tie ------------------------------------------------------
+
+struct TieRun {
+  /// One log per leaf 0..3: control events append to every log, shard
+  /// events to their host's leaf.  A leaf's hosts share a shard at every
+  /// K (leaf l -> shard l % K), so each log is written by one thread at a
+  /// time (workers mid-epoch, the coordinator between epochs).
+  std::vector<std::vector<std::string>> logs;
+  SimTime now_after_tick = 0;
+  SimTime now_after_deadline = 0;
+  bool concurrent = false;
+};
+
+constexpr SimTime kTick = 10 * kMicrosecond;
+
+/// Control events, pre-scheduled shard events and shard work that a
+/// control event schedules at its own tick, all at one tick T.
+TieRun run_tie(std::uint32_t shards) {
+  constexpr std::uint32_t kLeaves = 4;
+  TestFabric f{Network(3), {}};
+  build_test_fabric(f, {});
+  if (shards > 1) {
+    EXPECT_EQ(f.net.enable_sharding(ShardPlan::leaf_spine(f.net, f.topo,
+                                                          shards)),
+              shards);
+  }
+  EventLoop& loop = f.net.loop();
+  TieRun r;
+  r.logs.resize(kLeaves);
+  auto host = [&f](std::uint32_t leaf, std::uint32_t j) {
+    return f.topo.hosts[leaf * f.topo.params.hosts_per_leaf + j];
+  };
+  auto control = [&r, &loop](std::string label) {
+    EXPECT_EQ(loop.now(), kTick) << label;
+    for (auto& log : r.logs) log.push_back(label);
+  };
+  auto shard_event = [&r, &loop](std::uint32_t leaf, std::string label) {
+    return [&r, &loop, leaf, label] {
+      EXPECT_EQ(loop.now(), kTick) << label;
+      r.logs[leaf].push_back(label);
+    };
+  };
+  // A shard event one tick earlier: at K > 1 an epoch ends just before
+  // the control time, so the tie is met at a segment boundary.
+  f.net.schedule_on(host(0, 2), kTick - 1, [] {});
+  for (std::uint32_t l = 0; l < kLeaves; ++l) {
+    for (std::uint32_t j = 0; j < 2; ++j) {
+      f.net.schedule_on(host(l, j), kTick,
+                        shard_event(l, "S" + std::to_string(l) + "." +
+                                           std::to_string(j)));
+    }
+  }
+  loop.schedule_at(kTick, [&] {
+    control("C0");
+    loop.schedule_at(kTick, [&] { control("C0.child"); });
+    for (std::uint32_t l = 0; l < kLeaves; ++l) {
+      f.net.schedule_on(host(l, 3), kTick,
+                        shard_event(l, "W" + std::to_string(l)));
+    }
+  });
+  loop.schedule_at(kTick, [&] { control("C1"); });
+  loop.run_until(kTick);
+  r.now_after_tick = loop.now();
+  loop.run_until(kTick + 3 * kMicrosecond);
+  r.now_after_deadline = loop.now();
+  if (const ShardRunner* runner = f.net.runner()) {
+    r.concurrent = runner->epochs() > 0;
+  }
+  return r;
+}
+
+TEST(ShardRunnerTest, ControlLaneWinsSameTickTieAtEveryShardCount) {
+  const TieRun base = run_tie(1);
+  EXPECT_FALSE(base.concurrent);
+  // Control first (lane 0), its same-tick child included; then shard
+  // events in key order: pre-scheduled ones (stamped at time 0) before
+  // the control event's work (stamped at T).
+  for (std::uint32_t l = 0; l < base.logs.size(); ++l) {
+    const std::string leaf = std::to_string(l);
+    const std::vector<std::string> expected = {
+        "C0", "C1", "C0.child", "S" + leaf + ".0", "S" + leaf + ".1",
+        "W" + leaf};
+    EXPECT_EQ(base.logs[l], expected) << "leaf " << l;
+  }
+  EXPECT_EQ(base.now_after_tick, kTick);
+  EXPECT_EQ(base.now_after_deadline, kTick + 3 * kMicrosecond);
+  for (std::uint32_t shards : {2u, 4u}) {
+    const TieRun p = run_tie(shards);
+    EXPECT_TRUE(p.concurrent) << shards << " shards";
+    EXPECT_EQ(p.logs, base.logs) << shards << " shards";
+    EXPECT_EQ(p.now_after_tick, base.now_after_tick) << shards << " shards";
+    EXPECT_EQ(p.now_after_deadline, base.now_after_deadline)
+        << shards << " shards";
+  }
 }
 
 // --- lookahead soundness ----------------------------------------------------
