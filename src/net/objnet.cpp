@@ -94,6 +94,13 @@ Bytes Frame::encode() const {
 }
 
 Result<Frame> Frame::decode(ByteSpan data) {
+  ByteSpan payload;
+  auto f = decode_view(data, payload);
+  if (f) f->payload.assign(payload.begin(), payload.end());
+  return f;
+}
+
+Result<Frame> Frame::decode_view(ByteSpan data, ByteSpan& payload) {
   BufReader r(data);
   Frame f;
   f.version = r.get_u8();
@@ -111,7 +118,7 @@ Result<Frame> Frame::decode(ByteSpan data) {
   f.trace.parent = r.get_u64();
   f.tenant = r.get_u32();
   (void)r.get_u32();  // reserved
-  f.payload = r.get_blob();
+  payload = r.get_span(r.get_varint());
   if (!r.ok() || r.remaining() != 0) {
     return Error{Errc::malformed, "bad frame"};
   }

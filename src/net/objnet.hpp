@@ -165,6 +165,10 @@ struct Frame {
 
   Bytes encode() const;
   static Result<Frame> decode(ByteSpan data);
+  /// The same parse and rejects as decode(), without copying the
+  /// payload: the returned frame's `payload` is left empty and, on
+  /// success, `payload` borrows the payload bytes from `data`.
+  static Result<Frame> decode_view(ByteSpan data, ByteSpan& payload);
 
   /// Decode only as far as the routing fields (what a switch parser
   /// does); cheaper than full decode and never touches the payload.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 
 #include "common/env_flag.hpp"
 #include "common/log.hpp"
@@ -21,6 +22,59 @@ std::uint64_t pair_key(NodeId a, NodeId b) {
 }
 
 constexpr std::uint64_t kWireDigestSeed = 0x9E3779B97F4A7C15ull;
+
+/// Per-lane keys of the payload fold: odd 64-bit constants with
+/// balanced bits (wyhash's), one per lane so no two lanes fold alike.
+constexpr std::uint64_t kLaneKey[4] = {
+    0xa0761d6478bd642full, 0xe7037ed1a0b428dbull, 0x8ebc6af09c88c6e3ull,
+    0x589965cc75374cc3ull};
+
+/// 64x64 -> 128-bit multiply with the high half folded onto the low.
+inline std::uint64_t mum(std::uint64_t a, std::uint64_t b) {
+  const auto r = static_cast<unsigned __int128>(a) * b;
+  return static_cast<std::uint64_t>(r) ^ static_cast<std::uint64_t>(r >> 64);
+}
+
+inline std::uint64_t load64(const std::uint8_t* p) {
+  std::uint64_t v;
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
+
+/// Hash every payload byte.  16-byte blocks are dealt round-robin to
+/// four independent lanes (block i to lane i mod 4), so the multiplies
+/// of one 64-byte stripe overlap instead of waiting on each other; each
+/// lane chains its blocks in order.  The lanes are then combined in a
+/// fixed order with the zero-padded tail and the length, so the result
+/// depends on every byte, its position and the payload length.
+std::uint64_t fold_payload(const Bytes& d) {
+  const std::uint8_t* p = d.data();
+  std::size_t n = d.size();
+  // Lanes start off their keys, so a lane's first block is not
+  // symmetric in its two words, and an untouched lane still enters the
+  // combine below as a nonzero factor.
+  std::uint64_t lane[4];
+  for (int j = 0; j < 4; ++j) lane[j] = kLaneKey[j] ^ kWireDigestSeed;
+  auto block = [&p](std::uint64_t& acc, std::uint64_t key) {
+    acc = mum(load64(p) ^ key, load64(p + 8) ^ acc);
+    p += 16;
+  };
+  for (; n >= 64; n -= 64) {
+    for (int j = 0; j < 4; ++j) block(lane[j], kLaneKey[j]);
+  }
+  for (int j = 0; n >= 16; n -= 16, ++j) block(lane[j], kLaneKey[j]);
+  std::uint64_t t0 = 0, t1 = 0;
+  if (n > 8) {
+    t0 = load64(p);
+    std::memcpy(&t1, p + 8, n - 8);
+  } else if (n > 0) {
+    std::memcpy(&t0, p, n);
+  }
+  const std::uint64_t lanes =
+      mum(lane[0] ^ kLaneKey[1], lane[1] ^ kLaneKey[2]) ^
+      mum(lane[2] ^ kLaneKey[3], lane[3] ^ kLaneKey[0]);
+  return mum(lanes ^ t0 ^ kLaneKey[0], t1 ^ d.size() ^ kLaneKey[1]);
+}
 
 }  // namespace
 
@@ -327,23 +381,7 @@ void Network::fold_wire_digest(NodeId from, NodeId dst, const Packet& pkt) {
   h = SplitMix64::mix(h ^ pkt.wire_size());
   h = SplitMix64::mix(
       h ^ ((static_cast<std::uint64_t>(pkt.tenant) << 32) | pkt.hops));
-  // Full payload bytes: 8-byte words plus tail, so any payload
-  // divergence — not just size — breaks the digest.
-  const Bytes& d = pkt.data;
-  std::size_t i = 0;
-  for (; i + 8 <= d.size(); i += 8) {
-    std::uint64_t w = 0;
-    for (std::size_t b = 0; b < 8; ++b) {
-      w |= static_cast<std::uint64_t>(d[i + b]) << (8 * b);
-    }
-    h = SplitMix64::mix(h ^ w);
-  }
-  std::uint64_t tail = 0;
-  for (std::size_t b = 0; i + b < d.size(); ++b) {
-    tail |= static_cast<std::uint64_t>(d[i + b]) << (8 * b);
-  }
-  h = SplitMix64::mix(h ^ tail ^
-                      (static_cast<std::uint64_t>(d.size()) << 48));
+  h = SplitMix64::mix(h ^ fold_payload(pkt.data));
   journal_.run_or_defer([this, h] {
     wire_digest_chain_ = SplitMix64::mix(wire_digest_chain_ ^ h);
     ++wire_digest_count_;

@@ -270,7 +270,8 @@ class Network {
   }
 
   /// Arm the wire digest: a running hash over every delivery (time,
-  /// endpoints, size, full payload bytes) in canonical event order.
+  /// endpoints, size, tenant, hops, every payload byte) in canonical
+  /// event order; DESIGN.md §17 "The wire digest" gives the fold.
   /// This is the cheap, sim-native determinism witness the shard tests
   /// and bench sweep compare across shard counts.  In concurrent mode
   /// each fold is one more observer-journal record, so the chain folds

@@ -65,6 +65,95 @@ TEST(Frame, DecodeRejectsGarbage) {
   EXPECT_FALSE(Frame::decode(good));
 }
 
+// decode_view is what the invariant checker parses taps with, so it
+// must see exactly the frames hosts accept through decode.
+constexpr int kLastMsgType = static_cast<int>(MsgType::member_update);
+
+TEST(Frame, DecodeViewMatchesDecodeForEveryType) {
+  ASSERT_STREQ(msg_type_name(static_cast<MsgType>(kLastMsgType + 1)),
+               "unknown");
+  for (int t = 1; t <= kLastMsgType; ++t) {
+    ASSERT_STRNE(msg_type_name(static_cast<MsgType>(t)), "unknown") << t;
+    for (std::size_t len : {0, 1, 127, 128, 300}) {
+      Frame f;
+      f.type = static_cast<MsgType>(t);
+      f.flags = static_cast<std::uint16_t>(t % 2 ? kFlagBroadcast : 0);
+      f.src_host = 100 + t;
+      f.dst_host = 200 + t;
+      f.object = fixed_id(300 + t);
+      f.seq = 400 + t;
+      f.offset = 500 + t;
+      f.length = 600 + t;
+      f.epoch = 700 + t;
+      f.obj_version = 800 + t;
+      f.trace = {900 + static_cast<std::uint64_t>(t), 1000};
+      f.tenant = 1100 + t;
+      for (std::size_t i = 0; i < len; ++i) {
+        f.payload.push_back(static_cast<std::uint8_t>(i * 7 + t));
+      }
+      const Bytes wire = f.encode();
+      auto copied = Frame::decode(wire);
+      ByteSpan payload;
+      auto viewed = Frame::decode_view(wire, payload);
+      ASSERT_TRUE(copied) << t;
+      ASSERT_TRUE(viewed) << t;
+      for (const Frame* g : {&*copied, &*viewed}) {
+        EXPECT_EQ(g->version, 1);
+        EXPECT_EQ(g->type, f.type);
+        EXPECT_EQ(g->flags, f.flags);
+        EXPECT_EQ(g->src_host, f.src_host);
+        EXPECT_EQ(g->dst_host, f.dst_host);
+        EXPECT_EQ(g->object, f.object);
+        EXPECT_EQ(g->seq, f.seq);
+        EXPECT_EQ(g->offset, f.offset);
+        EXPECT_EQ(g->length, f.length);
+        EXPECT_EQ(g->epoch, f.epoch);
+        EXPECT_EQ(g->obj_version, f.obj_version);
+        EXPECT_EQ(g->trace.trace, f.trace.trace);
+        EXPECT_EQ(g->trace.parent, f.trace.parent);
+        EXPECT_EQ(g->tenant, f.tenant);
+      }
+      EXPECT_EQ(copied->payload, f.payload);
+      EXPECT_TRUE(viewed->payload.empty());
+      EXPECT_EQ(Bytes(payload.begin(), payload.end()), f.payload);
+      // A view, not a copy: the payload is the tail of the wire bytes.
+      EXPECT_EQ(payload.data() + payload.size(), wire.data() + wire.size());
+    }
+  }
+}
+
+TEST(Frame, DecodeViewRejectsWhatDecodeRejects) {
+  Frame f;
+  f.type = MsgType::chunk_resp;
+  f.payload = Bytes(200, 0x5A);
+  const Bytes good = f.encode();
+  std::vector<std::pair<std::string, Bytes>> bad;
+  bad.emplace_back("truncated header", Bytes(good.begin(), good.begin() + 40));
+  bad.emplace_back("no payload length", Bytes(good.begin(), good.begin() + 88));
+  bad.emplace_back("blob length past the end",
+                   Bytes(good.begin(), good.end() - 1));
+  Bytes trailing = good;
+  trailing.push_back(0);
+  bad.emplace_back("trailing byte", trailing);
+  for (std::uint8_t v : {0, 2, 255}) {
+    Bytes versioned = good;
+    versioned[0] = v;
+    bad.emplace_back("version " + std::to_string(v), versioned);
+  }
+  for (const auto& [what, wire] : bad) {
+    ByteSpan payload;
+    EXPECT_FALSE(Frame::decode(wire)) << what;
+    EXPECT_FALSE(Frame::decode_view(wire, payload)) << what;
+  }
+  // Every strict prefix of a good frame is malformed to both parsers.
+  for (std::size_t n = 0; n < good.size(); ++n) {
+    const ByteSpan prefix(good.data(), n);
+    ByteSpan payload;
+    EXPECT_FALSE(Frame::decode(prefix)) << n;
+    EXPECT_FALSE(Frame::decode_view(prefix, payload)) << n;
+  }
+}
+
 TEST(Frame, NackPayloadRoundTrip) {
   auto payload = encode_nack_payload(Errc::permission_denied);
   auto info = decode_nack_payload(payload);

@@ -2,6 +2,7 @@
 // match-action tables, topologies.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <tuple>
 
@@ -322,6 +323,66 @@ TEST(Network, TapSeesDeliveredFrames) {
   a.transmit(0, make_packet(10));
   net.loop().run();
   EXPECT_EQ(taps, 1);
+}
+
+// --- Wire digest ----------------------------------------------------------------
+
+/// The wire digest after one a -> b delivery of `payload`, sent at
+/// `send_at` with `hops` switch hops already on the frame.
+std::uint64_t one_delivery_digest(const Bytes& payload, std::uint32_t hops = 0,
+                                  SimTime send_at = 0) {
+  Network net(1);
+  auto& a = net.add_node<SinkNode>("a");
+  auto& b = net.add_node<SinkNode>("b");
+  net.connect(a.id(), b.id());
+  net.arm_wire_digest();
+  Packet p;
+  p.data = payload;
+  p.hops = hops;
+  net.loop().schedule_at(send_at, [&] { a.transmit(0, std::move(p)); });
+  net.loop().run();
+  EXPECT_EQ(net.wire_digest_events(), 1u);
+  return net.wire_digest();
+}
+
+TEST(WireDigest, EveryByteItsPositionAndTheLengthChangeIt) {
+  // Lengths 0-100 cross every boundary of the payload fold: 16-byte
+  // blocks dealt to four lanes (64-byte stripes), the 0-15 byte tail,
+  // and the 8-byte word inside a block and inside the tail.
+  for (std::size_t len = 0; len <= 100; ++len) {
+    Bytes base(len);
+    for (std::size_t i = 0; i < len; ++i) {
+      base[i] = static_cast<std::uint8_t>(i * 37 + 11);  // all distinct
+    }
+    const std::uint64_t ref = one_delivery_digest(base);
+    ASSERT_EQ(one_delivery_digest(base), ref) << "len " << len;
+
+    for (std::size_t i = 0; i < len; ++i) {
+      for (std::uint8_t bit : {0x01, 0x80}) {
+        Bytes flipped = base;
+        flipped[i] ^= bit;
+        EXPECT_NE(one_delivery_digest(flipped), ref)
+            << "len " << len << " byte " << i << " bit " << int{bit};
+      }
+    }
+    // Every pair of whole 8-byte words: in one block, in one lane, and
+    // in different lanes.
+    for (std::size_t x = 0; x + 8 <= len; x += 8) {
+      for (std::size_t y = x + 8; y + 8 <= len; y += 8) {
+        Bytes swapped = base;
+        std::swap_ranges(swapped.begin() + static_cast<std::ptrdiff_t>(x),
+                         swapped.begin() + static_cast<std::ptrdiff_t>(x + 8),
+                         swapped.begin() + static_cast<std::ptrdiff_t>(y));
+        EXPECT_NE(one_delivery_digest(swapped), ref)
+            << "len " << len << " words at " << x << " and " << y;
+      }
+    }
+    Bytes longer = base;
+    longer.push_back(0);
+    EXPECT_NE(one_delivery_digest(longer), ref) << "len " << len;
+    EXPECT_NE(one_delivery_digest(base, 1), ref) << "len " << len;
+    EXPECT_NE(one_delivery_digest(base, 0, 1), ref) << "len " << len;
+  }
 }
 
 // --- SwitchNode ----------------------------------------------------------------
@@ -661,6 +722,10 @@ TEST(Topology, LeafSpineMatchesClosedForms) {
 
   EXPECT_EQ(topo.hosts.size(), topo.host_count());
   EXPECT_EQ(topo.host_count(), 30u);
+  // Trace files carry node names, so their format is pinned.
+  EXPECT_EQ(net.node(topo.spines[3]).name(), "spine3");
+  EXPECT_EQ(net.node(topo.leaves[5]).name(), "leaf5");
+  EXPECT_EQ(net.node(topo.hosts[13]).name(), "h2-3");
   for (NodeId s : topo.spines) {
     EXPECT_EQ(net.port_count(s), topo.spine_degree());
   }
@@ -712,6 +777,10 @@ TEST(Topology, FatTreeMatchesClosedForms) {
 
   EXPECT_EQ(topo.hosts.size(), topo.host_count());
   EXPECT_EQ(topo.host_count(), 16u);
+  EXPECT_EQ(net.node(topo.cores[3]).name(), "core1-1");
+  EXPECT_EQ(net.node(topo.aggs[5]).name(), "agg2-1");
+  EXPECT_EQ(net.node(topo.edges[6]).name(), "edge3-0");
+  EXPECT_EQ(net.node(topo.hosts[11]).name(), "h2-1-1");
   EXPECT_EQ(topo.cores.size() + topo.aggs.size() + topo.edges.size(),
             topo.switch_count());
   for (NodeId sw : topo.cores) EXPECT_EQ(net.port_count(sw), k);
