@@ -537,11 +537,11 @@ int main() {
   //   armed 1-shard  — tracer + checker observing inline on the single
   //                    wheel (no profiler: it profiles the runner);
   //   armed          — 4 shards, tracer + checker + profiler on the
-  //                    parallel driver, deferring into the per-shard
-  //                    journal.
+  //                    parallel driver, journaling their records into
+  //                    the per-shard journal.
   // `shards_armed_overhead_4` is armed 4-shard time over armed 1-shard
-  // time: the price of the journal's defer/copy/replay machinery (and of
-  // the epochs themselves) relative to inline single-wheel observation.
+  // time: the price of the journal's defer/replay machinery (and of the
+  // epochs themselves) relative to inline single-wheel observation.
   // That is the §17 claim the gate caps at ≤1.15x — the cost of the
   // OBSERVATIONS themselves (checker frame decode, span records) is
   // identical in both legs and is reported separately, ungated, as

@@ -23,6 +23,7 @@ std::string fmt(const char* format, ...) {
 
 InvariantChecker::InvariantChecker(Network& net, CheckerConfig cfg)
     : net_(net), cfg_(cfg) {
+  trace_.reserve(cfg_.trace_depth);
   net_.add_tap([this](NodeId from, NodeId to, const Packet& pkt) {
     on_tap(from, to, pkt);
   });
@@ -35,7 +36,7 @@ void InvariantChecker::attach_host(HostNode& host, ObjNetService& service,
   const HostAddr addr = host.addr();
   const NodeId node = host.id();
   // Component observers journal under the concurrent driver (the same
-  // shard-safe replay path as the network tap, DESIGN.md §17) and run
+  // shard-safe replay path as the wire feed, DESIGN.md §17) and run
   // inline otherwise — captures are by value for exactly that reason.
   fetcher.set_adopt_observer([this, addr](ObjectId id, std::uint64_t v) {
     net_.observer_journal().run_or_defer([this, addr, id, v] {
@@ -170,11 +171,18 @@ void InvariantChecker::on_tap(NodeId from, NodeId to, const Packet& pkt) {
       ev.dst != kUnspecifiedHost && it != addr_to_node_.end()) {
     ev.final_delivery = it->second == to;
   }
+  net_.observer_journal().run_or_defer([this, ev] { on_wire_event(ev); });
+}
 
+void InvariantChecker::on_wire_event(const WireEvent& ev) {
   ++events_;
   digest_.fold_event(ev);
-  trace_.push_back(ev);
-  if (trace_.size() > cfg_.trace_depth) trace_.pop_front();
+  if (trace_.size() < cfg_.trace_depth) {
+    trace_.push_back(ev);
+  } else if (!trace_.empty()) {
+    trace_[trace_head_] = ev;
+    if (++trace_head_ == trace_.size()) trace_head_ = 0;
+  }
 
   if (ev.emission) check_emission(ev);
   if (ev.final_delivery) check_delivery(ev);
@@ -472,7 +480,9 @@ void InvariantChecker::violation(ViolationClass cls, ObjectId object,
   if (auto it = lineage_.find(object); it != lineage_.end()) {
     v.epoch_trail = it->second;
   }
-  v.trace.assign(trace_.begin(), trace_.end());
+  const auto head = trace_.begin() + static_cast<std::ptrdiff_t>(trace_head_);
+  v.trace.assign(head, trace_.end());
+  v.trace.insert(v.trace.end(), trace_.begin(), head);
   violations_.push_back(std::move(v));
 
   if (cfg_.abort_on_violation) {

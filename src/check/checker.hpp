@@ -127,7 +127,11 @@ class InvariantChecker {
     std::uint64_t delivered = 0;
   };
 
+  /// Inline half, on the delivering lane: decode into a WireEvent
+  /// (reading only the frame and addr_to_node_) and journal it.
   void on_tap(NodeId from, NodeId to, const Packet& pkt);
+  /// Journaled half: digest fold, trace window, checks.
+  void on_wire_event(const WireEvent& ev);
   void on_fq_event(NodeId sw, const FqEvent& ev);
   void check_emission(const WireEvent& ev);
   void check_delivery(const WireEvent& ev);
@@ -148,6 +152,7 @@ class InvariantChecker {
   std::vector<IncCacheStage*> caches_;
   ControllerNode* controller_ = nullptr;
   /// Protocol address -> owning node (hosts, cache agents, controller).
+  /// Written only by attach_* (workers parked).
   std::unordered_map<HostAddr, NodeId> addr_to_node_;
 
   /// Coherence floors: highest version each holder has ACKED an
@@ -179,7 +184,10 @@ class InvariantChecker {
   /// Full lifecycle trail per lineage (for reports).
   std::map<ObjectId, std::vector<EpochEvent>> lineage_;
 
-  std::deque<WireEvent> trace_;
+  /// Fixed ring of the last trace_depth wire events; once full,
+  /// trace_head_ is the oldest slot.
+  std::vector<WireEvent> trace_;
+  std::size_t trace_head_ = 0;
   Digest digest_;
   std::uint64_t events_ = 0;
   std::vector<Violation> violations_;

@@ -112,8 +112,8 @@ std::unique_ptr<Cluster> Cluster::build(const ClusterConfig& cfg) {
   // Multi-core opt-in (OBJRPC_SHARDS=N): partition the fabric with the
   // generic switch-group planner.  Last build step, after every node
   // exists.  Armed observers (the invariant checker's taps, an armed
-  // tracer) keep the run concurrent: their observations defer into the
-  // per-shard journal and replay in canonical order at each barrier, so
+  // tracer) keep the run concurrent: they run inline and journal their
+  // records per shard, replayed in canonical order at each barrier, so
   // the event order, wire bytes, and trace files match the 1-shard run
   // (DESIGN.md §17).
   cluster->fabric_->network().maybe_shard_from_env();

@@ -1,20 +1,19 @@
 // ShardJournal: the shard-safe observer plane (DESIGN.md §17).
 //
 // The sharded event loop (DESIGN.md §16) executes events concurrently,
-// which is exactly the regime observers must not perturb: a tracer
-// append, a checker tap, or a node-liveness callback that grabbed a
-// lock — or worse, forced the driver back to serial — would make the
-// fabric unobservable at the one speed that matters.  The journal is
-// the fabric's one barrier merge: during an epoch each worker appends
-// closures to its OWN lane (SPSC, no synchronization), every record
-// stamped with the executing event's canonical key (at, key_a, key_b).
-// At the BSP barrier, with all workers parked, the coordinator sorts
-// the lanes' records by key and replays the closures in canonical
-// order — the exact order the serial driver would have executed them
-// in — so every client (the wire digest, the tracer, packet taps, the
-// node observer, the invariant checker) sees the identical fabric-
-// global event sequence and armed parallel runs produce byte-identical
-// digests and traces.
+// which is exactly the regime observers must not perturb.  The journal
+// is the fabric's one barrier merge, under one rule: an observer hook
+// runs inline on the executing lane, and the owner of the observed
+// state journals its own small record through run_or_defer.  During an
+// epoch each worker appends those closures to its OWN lane (SPSC, no
+// synchronization), each stamped with the executing event's canonical
+// key (at, key_a, key_b).  At the BSP barrier, workers parked, the
+// coordinator sorts the records by key and replays them in canonical
+// order — the order the serial driver executes them in — so every
+// client (the wire digest fold, the tracer, packet taps such as the
+// checker's wire feed, the checker's component hooks) sees the same
+// fabric-global sequence and armed parallel runs produce byte-identical
+// digests and traces.  The fabric never journals on an observer's behalf.
 //
 // Why the sort reconstructs serial order (proof sketch in §17): the
 // serial driver executes events in ascending (at, key_a, key_b), each
@@ -57,22 +56,6 @@ class ShardJournal {
   /// Toggled by the parallel driver around each epoch (workers parked
   /// both times); everywhere else records run inline.
   void set_deferring(bool on) { deferring_ = on; }
-  bool deferring() const { return deferring_; }
-
-  /// Append `f` to the current lane, stamped with the executing
-  /// event's canonical key; the closure is built in place in the lane.
-  /// MAY_ALLOC: lane vector growth — amortized, and only when the digest
-  /// or an observer is armed.
-  template <typename F>
-  HOT_PATH MAY_ALLOC void defer(F&& f) {
-    const std::uint32_t l =
-        exec_lane_below(static_cast<std::uint32_t>(lanes_.size()));
-    Lane& lane = lanes_[l];
-    Key k{0, 0, 0, l, static_cast<std::uint32_t>(lane.fns.size())};
-    stamp_(k.at, k.ka, k.kb);
-    lane.keys.push_back(k);
-    lane.fns.emplace_back(std::forward<F>(f));
-  }
 
   /// Run `f` now (serial driver, control context, or disarmed run) or
   /// journal it for barrier replay.  `f` must capture everything it
@@ -105,6 +88,21 @@ class ShardJournal {
   void replay(const std::function<void(SimTime)>& clock);
 
  private:
+  /// Append `f` to the current lane, stamped with the executing
+  /// event's canonical key; the closure is built in place in the lane.
+  /// MAY_ALLOC: lane vector growth — amortized, and only when the digest
+  /// or an observer is armed.
+  template <typename F>
+  HOT_PATH MAY_ALLOC void defer(F&& f) {
+    const std::uint32_t l =
+        exec_lane_below(static_cast<std::uint32_t>(lanes_.size()));
+    Lane& lane = lanes_[l];
+    Key k{0, 0, 0, l, static_cast<std::uint32_t>(lane.fns.size())};
+    stamp_(k.at, k.ka, k.kb);
+    lane.keys.push_back(k);
+    lane.fns.emplace_back(std::forward<F>(f));
+  }
+
   /// A record's sort key: the canonical event key, then the record's
   /// position (lane, index into that lane's fns) as the tie-break that
   /// keeps one event's records in program order.  Kept apart from the

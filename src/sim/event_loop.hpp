@@ -389,8 +389,8 @@ class EventLoop {
     key_b = tls_ctx_.cur_key_b;
   }
   /// True when the calling context is external or control-lane (not a
-  /// node callback).  Control-plane mutations (crash/revive) assert
-  /// this under strict mode.
+  /// node callback).  Control-plane mutations (crash/revive) abort
+  /// without it.
   bool in_control_context() const {
     return tls_ctx_.owner != this || tls_ctx_.wheel == &control_;
   }
@@ -398,12 +398,12 @@ class EventLoop {
   /// RAII context for barrier-time observer replay (DESIGN.md §17).
   /// The journal replays deferred observer records on the coordinator
   /// thread; this scope makes that thread look like the control lane
-  /// (so pool releases land on the control free list and
-  /// in_control_context() holds) and lets advance() present each
-  /// record's delivery time as now() — the same clock the observer
-  /// would have read inline.  Safe to interleave with the segment loop:
-  /// replayed times never exceed the epoch horizon, and set_now only
-  /// moves a clock forward, so the next control drain is unaffected.
+  /// (so in_control_context() holds and lane-indexed state resolves to
+  /// the control lane) and lets advance() present each record's
+  /// delivery time as now() — the same clock the observer would have
+  /// read inline.  Safe to interleave with the segment loop: replayed
+  /// times never exceed the epoch horizon, and set_now only moves a
+  /// clock forward, so the next control drain is unaffected.
   class ObserverReplayScope {
    public:
     explicit ObserverReplayScope(EventLoop& loop);
@@ -446,7 +446,6 @@ class EventLoop {
   /// CHECK_INVARIANTS environment toggle; the cluster config can arm it
   /// explicitly and tests that exercise the clamp path disarm it.
   void set_strict_past_schedules(bool strict);
-  bool strict_past_schedules() const { return strict_past_schedules_; }
 
  private:
   static constexpr std::uint64_t kShardLaneBit = std::uint64_t{1} << 62;

@@ -192,7 +192,7 @@ bool Network::link_up(NodeId id, PortId port) const {
 }
 
 void Network::set_node_up(NodeId id, bool up) {
-  if (!loop_.in_control_context() && loop_.strict_past_schedules()) {
+  if (!loop_.in_control_context()) {
     std::fprintf(stderr,
                  "Network::set_node_up(%u): called from a node callback; "
                  "crash/revive is control-plane only — use schedule_crash/"
@@ -208,12 +208,7 @@ void Network::set_node_up(NodeId id, bool up) {
   // AS the node: its wheel, its lane, its seq counter — so the reaction
   // is stamped identically in every mode.
   loop_.with_source(id, [&] { nodes_[id]->on_node_state_change(up); });
-  if (node_observer_) {
-    // Control-lane transitions run inline; a transition inside a
-    // concurrent epoch (non-strict runs only) defers to barrier replay
-    // so the observer sees canonical order.
-    journal_.run_or_defer([this, id, up] { node_observer_(id, up); });
-  }
+  if (node_observer_) node_observer_(id, up);
 }
 
 void Network::schedule_crash(NodeId id, SimTime at) {
@@ -355,21 +350,7 @@ void Network::deliver_now(NodeId from, NodeId dst, PortId dst_port,
   st.bytes_delivered += pkt.wire_size();
   ++pkt.hops;
   if (wire_digest_armed_) fold_wire_digest(from, dst, pkt);
-  if (!taps_.empty()) {
-    if (journal_.deferring()) {
-      // Concurrent epoch: taps replay at the barrier in canonical
-      // order, against a pooled copy of the frame (the receiver is
-      // about to consume the original).
-      Packet copy = pkt.header_copy();
-      copy.data = payload_pool_.copy_of(pkt.data);
-      journal_.defer(SmallFn([this, from, dst, copy = std::move(copy)]() mutable {
-        for (auto& t : taps_) t(from, dst, copy);
-        payload_pool_.release(std::move(copy.data));
-      }));
-    } else {
-      for (auto& t : taps_) t(from, dst, pkt);
-    }
-  }
+  for (auto& t : taps_) t(from, dst, pkt);
   nodes_[dst]->on_packet(dst_port, std::move(pkt));
 }
 
@@ -390,10 +371,8 @@ void Network::fold_wire_digest(NodeId from, NodeId dst, const Packet& pkt) {
 
 void Network::replay_observer_journal() {
   if (journal_.empty()) return;
-  // Replay on the coordinator thread disguised as the control lane:
-  // observers read now() as each record's delivery time, and pooled
-  // payload copies released by tap records land on the control lane's
-  // free list (an explicit cross-shard return, see common/pool.hpp).
+  // Replay on the coordinator thread disguised as the control lane,
+  // so observers read now() as each record's delivery time.
   EventLoop::ObserverReplayScope scope(loop_);
   journal_.replay([&scope](SimTime at) { scope.advance(at); });
 }

@@ -166,9 +166,9 @@ class Network {
   /// modelling a durable object store: revival is a reboot, not a wipe.
   /// Transitions invoke NetworkNode::on_node_state_change and the
   /// observer (the management plane's failure detector).  Control-plane
-  /// only: under strict mode (CHECK_INVARIANTS=1) calling this from a
-  /// node callback aborts — route fault schedules through
-  /// schedule_crash/schedule_revive, which run on the control lane.
+  /// only, at every strictness: calling this from a node callback
+  /// aborts — route fault schedules through schedule_crash/
+  /// schedule_revive, which run on the control lane.
   CROSS_SHARD void set_node_up(NodeId id, bool up);
   bool node_up(NodeId id) const { return node_up_.at(id); }
 
@@ -188,7 +188,7 @@ class Network {
 
   /// Management-plane hook: sees every node up/down transition (the SDN
   /// controller registers here; the simulator plays the role of its
-  /// out-of-band liveness feed).
+  /// out-of-band liveness feed).  set_node_up calls it directly.
   using NodeObserver = std::function<void(NodeId, bool up)>;
   void set_node_observer(NodeObserver obs) { node_observer_ = std::move(obs); }
 
@@ -228,10 +228,11 @@ class Network {
   }
 
   /// Observation taps (tests, the invariant checker): each sees every
-  /// delivered frame, in registration order, and must not mutate the
-  /// simulation.  In a sharded run taps run at barrier replay in
-  /// canonical order (observer_journal() below), so attaching one never
-  /// serializes the run.
+  /// delivered frame, in registration order, inline on the delivering
+  /// lane just before on_packet (concurrently in a sharded run).  A tap
+  /// never mutates the simulation and writes its own state only through
+  /// observer_journal().run_or_defer with by-value captures — the wire
+  /// digest fold's contract.
   using PacketTap =
       std::function<void(NodeId from, NodeId to, const Packet&)>;
   void add_tap(PacketTap tap) { taps_.push_back(std::move(tap)); }
@@ -251,9 +252,9 @@ class Network {
   ShardRunner* runner() { return runner_.get(); }
 
   /// The shard-safe observer plane (DESIGN.md §17): concurrent epochs
-  /// journal observer callbacks per lane; the coordinator replays them
-  /// in canonical order at each barrier.  Components with their own
-  /// observer hooks (the invariant checker) route through here.
+  /// journal observer records per lane; the coordinator replays them
+  /// in canonical order at each barrier.  Every observer (taps, the
+  /// invariant checker's hooks) journals its own records here.
   obs::ShardJournal& observer_journal() { return journal_; }
 
   /// Host-time profiler for the parallel driver (arm before
@@ -337,7 +338,7 @@ class Network {
   }
 
   /// Execute a delivery (receiver context): liveness check, stats,
-  /// digest fold, taps, on_packet.
+  /// digest fold, taps (inline), on_packet.
   HOT_PATH void deliver_now(NodeId from, NodeId dst, PortId dst_port,
                             Packet&& pkt);
   /// Hash one delivery and fold it into the wire digest chain — inline,
@@ -388,9 +389,9 @@ class Network {
   FlatHashSet<std::uint64_t> adjacency_;
   /// Laned free lists with explicit cross-shard return (common/pool.hpp).
   BufferPool payload_pool_;
-  /// Per-node liveness (fail-stop crash state).  CROSS_SHARD: written by
-  /// the fault schedule on the control lane (shards parked), read at
-  /// delivery on the receiver's shard.
+  /// Per-node liveness (fail-stop crash state).  CROSS_SHARD: written
+  /// only on the control lane (shards parked; set_node_up enforces it),
+  /// read at delivery on the receiver's shard.
   CROSS_SHARD std::vector<bool> node_up_;
   /// Padded per-lane traffic counters; stats() merges them.
   struct alignas(64) StatsLane {

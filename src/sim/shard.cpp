@@ -185,7 +185,7 @@ void ShardRunner::run_workers(SimTime limit) {
     std::lock_guard<std::mutex> lk(mu_);
     epoch_limit_ = limit;
     net_.loop_.concurrent_epoch_ = true;
-    // Observer callbacks (digest folds included) journal during the
+    // Observer records (digest folds included) journal during the
     // epoch and run inline everywhere else.
     net_.journal_.set_deferring(true);
     running_ = shards_;

@@ -130,6 +130,84 @@ TEST(CheckTest, StaleChunkServeDetected) {
   EXPECT_FALSE(v.trace.empty());  // report carries the wire context
 }
 
+// The report's wire window after many more tapped deliveries than
+// trace_depth: exactly the last trace_depth hops, in delivery order,
+// ending with the violating one.
+TEST(CheckTest, ViolationTraceIsTheLastTraceDepthHops) {
+  auto cluster = Cluster::build(checked_cluster(DiscoveryScheme::e2e));
+  ASSERT_NE(cluster->checker(), nullptr);
+  cluster->checker()->set_abort_on_violation(false);
+
+  // An independent record of every protocol hop, in delivery order.
+  struct Hop {
+    SimTime at;
+    NodeId from;
+    NodeId to;
+    MsgType type;
+    std::uint64_t seq;
+  };
+  std::vector<Hop> hops;
+  Network& net = cluster->fabric().network();
+  net.add_tap([&hops, &net](NodeId from, NodeId to, const Packet& pkt) {
+    ByteSpan payload;
+    auto frame = Frame::decode_view(pkt.data, payload);
+    if (!frame) return;
+    const Hop hop{net.now(), from, to, frame->type, frame->seq};
+    net.observer_journal().run_or_defer(
+        [&hops, hop] { hops.push_back(hop); });
+  });
+
+  auto obj = cluster->create_object(1, 4096);
+  ASSERT_TRUE(obj.has_value());
+  const ObjectId id = (*obj)->id();
+  cluster->settle();
+  fetch_object(*cluster, 0, id);
+  write_value(*cluster, 1, id, 1);
+  fetch_object(*cluster, 0, id);
+  write_value(*cluster, 1, id, 2);
+  ASSERT_TRUE(cluster->checker()->clean())
+      << cluster->checker()->report();
+
+  Frame stale;
+  stale.type = MsgType::chunk_resp;
+  stale.dst_host = cluster->addr_of(1);
+  stale.object = id;
+  stale.seq = 9001;
+  stale.length = 8;
+  stale.obj_version = 1;
+  stale.payload = u64_bytes(0xDEAD);
+  cluster->host(0).send_frame(std::move(stale));
+  cluster->settle();
+  ASSERT_EQ(cluster->checker()->count_of(ViolationClass::stale_serve), 1u);
+
+  // The violating hop: the stale chunk_resp leaving host 0.
+  const NodeId emitter = cluster->host(0).id();
+  std::size_t bad = hops.size();
+  for (std::size_t i = 0; i < hops.size(); ++i) {
+    if (hops[i].type == MsgType::chunk_resp && hops[i].seq == 9001 &&
+        hops[i].from == emitter) {
+      bad = i;
+      break;
+    }
+  }
+  ASSERT_LT(bad, hops.size());
+  const std::size_t depth = check::CheckerConfig{}.trace_depth;
+  ASSERT_GT(bad + 1, depth) << "too few deliveries to wrap the window";
+
+  const auto& trace = cluster->checker()->violations().back().trace;
+  ASSERT_EQ(trace.size(), depth);
+  for (std::size_t k = 0; k < depth; ++k) {
+    const Hop& want = hops[bad + 1 - depth + k];
+    SCOPED_TRACE("trace[" + std::to_string(k) + "]");
+    EXPECT_EQ(trace[k].at, want.at);
+    EXPECT_EQ(trace[k].from, want.from);
+    EXPECT_EQ(trace[k].to, want.to);
+    EXPECT_EQ(trace[k].type, want.type);
+    EXPECT_EQ(trace[k].seq, want.seq);
+  }
+  EXPECT_TRUE(trace.back().emission);
+}
+
 // The in-network variant: a switch cache that was invalidated (and
 // acked) serves its old SRAM image anyway.  The real fill/invalidate
 // flow establishes the cache's floor; the stale serve is injected by

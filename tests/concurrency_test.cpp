@@ -159,13 +159,13 @@ TEST(ConcurrencyTest, ShardedLoopWorkloadMatchesSequential) {
 }
 
 // Armed observers on the concurrent driver (DESIGN.md §17): tracer and
-// invariant checker both ride the per-shard observer journal — SPSC
-// appends from worker threads mid-epoch, merge + canonical-order replay
-// on the coordinator at the barrier.  TSan must prove the journal's
-// handoff (set_deferring under the epoch mutex, pooled packet copies
-// crossing lanes, replay on the control wheel) race-free, and the armed
-// sharded run must still match the armed sequential run bit-exactly
-// with a clean checker.
+// invariant checker both ride the per-shard observer journal — the
+// checker's tap decodes inline on the worker threads, SPSC appends
+// mid-epoch, merge + canonical-order replay on the coordinator at the
+// barrier.  TSan must prove the journal's handoff (set_deferring under
+// the epoch mutex, replay on the control wheel) and the inline taps
+// race-free, and the armed sharded run must still match the armed
+// sequential run bit-exactly with a clean checker.
 TEST(ConcurrencyTest, ArmedObserversOnShardedLoopRaceFree) {
   bool serial_ok = false;
   const std::uint64_t serial = run_service_workload(

@@ -21,6 +21,22 @@ struct Packet {
   std::uint64_t checksum = 0;
 };
 
+/// Defaulted special members declare functions, not data: the layout
+/// is the three words (24 bytes).
+struct Stamp {
+  Stamp() = default;
+  Stamp(const Stamp&) = default;
+  std::uint64_t at = 0;
+  std::uint64_t key = 0;
+  std::uint64_t lane = 0;
+};
+
+class Journal {
+ public:
+  template <typename F>
+  void run_or_defer(F&&) {}
+};
+
 class Link {
  public:
   void schedule_at(std::uint64_t, SmallFn) {}
@@ -37,6 +53,18 @@ class Link {
     };
     (void)cb;
   }
+
+  void observe(Packet pkt) {
+    // A journal record is a SmallFn too: the same 48 bytes spill.
+    journal_.run_or_defer([pkt]() { (void)pkt; });  // EXPECT: smallfn-spill
+  }
+
+  void stamp(Stamp s) {
+    journal_.run_or_defer([s]() { (void)s; });  // EXPECT: smallfn-spill
+  }
+
+ private:
+  Journal journal_;
 };
 
 }  // namespace fixture

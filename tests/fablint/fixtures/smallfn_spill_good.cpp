@@ -10,6 +10,12 @@ class BasicSmallFn {};  // stand-in for common/small_fn.hpp
 
 using SmallFn = BasicSmallFn<16>;
 
+class Journal {
+ public:
+  template <typename F>
+  void run_or_defer(F&&) {}
+};
+
 class Link {
  public:
   void schedule_at(std::uint64_t, SmallFn) {}
@@ -19,8 +25,14 @@ class Link {
     schedule_at(at, [this, slot]() { touch(slot); });
   }
 
+  void observe(std::uint32_t slot) {
+    // A journal record with the same small capture.
+    journal_.run_or_defer([this, slot]() { touch(slot); });
+  }
+
  private:
   void touch(std::uint32_t) {}
+  Journal journal_;
 };
 
 }  // namespace fixture

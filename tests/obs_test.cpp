@@ -395,17 +395,23 @@ TEST(Trace, FragmentsOfOneMessageShareOneTraceId) {
   const NodeId dst_node = cluster->host(2).id();
   std::map<std::uint64_t, std::set<std::uint64_t>> traces_by_msg;
   std::map<std::uint64_t, std::set<std::uint64_t>> frags_by_msg;
-  cluster->fabric().network().add_tap(
-      [&](NodeId, NodeId to, const Packet& pkt) {
-        if (to != dst_node) return;
-        auto frame = Frame::decode(pkt.data);
-        if (!frame || frame->type != MsgType::push_frag) return;
-        const std::uint64_t msg_id = frame->seq >> 32;
-        traces_by_msg[msg_id].insert(pkt.trace_id);
-        frags_by_msg[msg_id].insert((frame->seq >> 16) & 0xFFFF);
-        // The wire context and the packet metadata agree.
-        EXPECT_EQ(frame->trace.trace, pkt.trace_id);
-      });
+  Network& net = cluster->fabric().network();
+  net.add_tap([&](NodeId, NodeId to, const Packet& pkt) {
+    if (to != dst_node) return;
+    auto frame = Frame::decode(pkt.data);
+    if (!frame || frame->type != MsgType::push_frag) return;
+    // The wire context and the packet metadata agree.
+    EXPECT_EQ(frame->trace.trace, pkt.trace_id);
+    // Taps run concurrently under OBJRPC_SHARDS: the maps are written
+    // only through the journal (the tap contract, sim/network.hpp).
+    const std::uint64_t msg_id = frame->seq >> 32;
+    const std::uint64_t frag = (frame->seq >> 16) & 0xFFFF;
+    const std::uint64_t trace = pkt.trace_id;
+    net.observer_journal().run_or_defer([&, msg_id, frag, trace] {
+      traces_by_msg[msg_id].insert(trace);
+      frags_by_msg[msg_id].insert(frag);
+    });
+  });
 
   Status moved{Errc::timeout, "not run"};
   cluster->move_object((*obj)->id(), 1, 2, [&](Status s) { moved = s; });

@@ -117,22 +117,24 @@ struct RunResult {
   std::uint64_t epochs = 0;
   std::uint64_t tap_digest = 0;
   std::uint64_t tap_events = 0;
+  std::uint64_t pool_acquires = 0;  // payload_pool() fresh + reused
   std::string trace_json;
   std::vector<std::uint64_t> epoch_frames;  // barrier-hook snapshots
   bool operator==(const RunResult&) const = default;
 };
 
-/// Order-sensitive fold over a tap observation — if replay order differs
-/// from the 1-shard run's delivery order by even one swap, the digests
-/// diverge.
-void fold_tap(std::uint64_t& d, NodeId from, NodeId to, const Packet& pkt) {
-  auto mix = [&d](std::uint64_t v) {
-    d ^= v + 0x9E3779B97F4A7C15ULL + (d << 6) + (d >> 2);
-  };
-  mix(from);
-  mix(to);
-  mix(pkt.data.size());
-  for (std::uint8_t b : pkt.data) mix(b);
+/// One step of the order-sensitive folds below.
+std::uint64_t relay_mix(std::uint64_t a, std::uint64_t b) {
+  a ^= b + 0x9E3779B97F4A7C15ULL + (a << 6) + (a >> 2);
+  return a;
+}
+
+/// Hash of one tap observation: endpoints, size and every payload byte.
+std::uint64_t tap_hash(NodeId from, NodeId to, const Packet& pkt) {
+  std::uint64_t h = relay_mix(relay_mix(relay_mix(0, from), to),
+                              pkt.data.size());
+  for (std::uint8_t b : pkt.data) h = relay_mix(h, b);
+  return h;
 }
 
 RunResult run_fabric(std::uint64_t seed, std::uint32_t shards,
@@ -142,9 +144,17 @@ RunResult run_fabric(std::uint64_t seed, std::uint32_t shards,
   build_test_fabric(f, o);
   if (o.arm_tracer) f.net.tracer().arm();
   if (o.attach_tap) {
-    f.net.add_tap([&r](NodeId from, NodeId to, const Packet& pkt) {
-      fold_tap(r.tap_digest, from, to, pkt);
-      ++r.tap_events;
+    // The tap contract (sim/network.hpp): hash the frame inline on the
+    // delivering lane, journal only the fold.  The fold is order-
+    // sensitive, so if the journal's order differs from the 1-shard
+    // run's delivery order by even one swap, the digests diverge.
+    Network& net = f.net;
+    f.net.add_tap([&r, &net](NodeId from, NodeId to, const Packet& pkt) {
+      const std::uint64_t h = tap_hash(from, to, pkt);
+      net.observer_journal().run_or_defer([&r, h] {
+        r.tap_digest = relay_mix(r.tap_digest, h);
+        ++r.tap_events;
+      });
     });
   }
   if (shards > 1) {
@@ -193,6 +203,8 @@ RunResult run_fabric(std::uint64_t seed, std::uint32_t shards,
   r.digest = f.net.wire_digest();
   r.digest_events = f.net.wire_digest_events();
   r.shards = f.net.shard_count();
+  const BufferPool::Stats pool = f.net.payload_pool().stats();
+  r.pool_acquires = pool.fresh + pool.reused;
   for (NodeId h : f.topo.hosts) {
     r.delivered += static_cast<const SinkHost&>(f.net.node(h)).delivered;
   }
@@ -255,8 +267,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ShardDigest,
 
 // --- armed observers stay concurrent (DESIGN.md §17) ------------------------
 
-/// Tracer + tap armed on the parallel driver: the per-shard observer
-/// journal defers every observation and replays it at the barrier in
+/// Tracer + tap armed on the parallel driver: each observer journals
+/// its own records per shard, and the barrier replays them in
 /// canonical key order.  The trace file, the tap's order-sensitive fold,
 /// and the wire digest must all be byte-identical to the 1-shard armed
 /// run — while the run really executes concurrently.
@@ -345,6 +357,20 @@ TEST(ShardArmedTest, RingOverflowWithObserversByteIdentical) {
   EXPECT_EQ(p.trace_json, base.trace_json);
 }
 
+TEST(ShardArmedTest, TapCopiesNoPayload) {
+  // Taps run inline on the delivering lane at every shard count, so an
+  // attached tap acquires no payload buffer: the pool serves exactly
+  // the acquires of the untapped run.
+  FabricOpts tapped;
+  tapped.attach_tap = true;
+  const RunResult bare = run_fabric(17, 4);
+  const RunResult p = run_fabric(17, 4, tapped);
+  EXPECT_TRUE(p.concurrent);
+  EXPECT_GT(p.tap_events, 0u);
+  EXPECT_EQ(p.pool_acquires, bare.pool_acquires);
+  EXPECT_EQ(p.digest, bare.digest);
+}
+
 // --- mid-run metrics snapshots ----------------------------------------------
 
 TEST(ShardMetrics, SnapshotAtEveryEpochBarrierIsCoherent) {
@@ -377,11 +403,6 @@ struct RelayRun {
   std::uint64_t cross_frames = 0;
   bool concurrent = false;
 };
-
-std::uint64_t relay_mix(std::uint64_t a, std::uint64_t b) {
-  a ^= b + 0x9E3779B97F4A7C15ULL + (a << 6) + (a >> 2);
-  return a;
-}
 
 /// One hop of a relay that crosses shards WITHOUT a frame.  It runs as
 /// host `idx`, folds (now, token) into that host's ledger, sends one
@@ -650,6 +671,7 @@ struct ClusterRun {
   std::uint64_t wire_digest = 0;
   std::uint64_t checker_digest = 0;
   std::uint64_t checker_events = 0;
+  std::uint64_t pool_acquires = 0;  // payload_pool() fresh + reused
   std::string trace_json;
   bool concurrent = false;  // the runner drove at least one BSP epoch
 };
@@ -686,6 +708,9 @@ ClusterRun run_cluster_workload(const char* shards_env, bool armed = false) {
   cluster->settle();
   EXPECT_TRUE(moved);
   out.wire_digest = cluster->fabric().network().wire_digest();
+  const BufferPool::Stats pool =
+      cluster->fabric().network().payload_pool().stats();
+  out.pool_acquires = pool.fresh + pool.reused;
   if (const ShardRunner* runner = cluster->fabric().network().runner()) {
     out.concurrent = runner->epochs() > 0;
   }
@@ -776,6 +801,18 @@ TEST(ShardCluster, ArmedCheckerAndTracerByteIdenticalAcrossShardCounts) {
         << "OBJRPC_SHARDS=" << n;
     EXPECT_EQ(p.trace_json, base.trace_json) << "OBJRPC_SHARDS=" << n;
   }
+}
+
+TEST(ShardCluster, ArmedCheckerCopiesNoPayload) {
+  // The checker's tap decodes inline and journals a WireEvent: at 4
+  // shards the armed run acquires exactly the payload buffers of the
+  // unarmed one.
+  const ClusterRun bare = run_cluster_workload("4");
+  const ClusterRun armed = run_cluster_workload("4", /*armed=*/true);
+  EXPECT_TRUE(armed.concurrent);
+  EXPECT_GT(armed.checker_events, 0u);
+  EXPECT_EQ(armed.pool_acquires, bare.pool_acquires);
+  EXPECT_EQ(armed.wire_digest, bare.wire_digest);
 }
 
 }  // namespace

@@ -325,6 +325,18 @@ TEST(Network, TapSeesDeliveredFrames) {
   EXPECT_EQ(taps, 1);
 }
 
+TEST(NetworkDeathTest, NodeUpFromNodeCallbackAbortsWithStrictOff) {
+  // Crash/revive is control-plane only at every strictness: a node
+  // callback that calls set_node_up dies even with strict mode off.
+  Network net(1);
+  auto& a = net.add_node<SinkNode>("a");
+  auto& b = net.add_node<SinkNode>("b");
+  net.connect(a.id(), b.id());
+  net.loop().set_strict_past_schedules(false);
+  net.schedule_on(a.id(), 10, [&net, &b] { net.set_node_up(b.id(), false); });
+  EXPECT_DEATH(net.loop().run(), "control-plane only");
+}
+
 // --- Wire digest ----------------------------------------------------------------
 
 /// The wire digest after one a -> b delivery of `payload`, sent at

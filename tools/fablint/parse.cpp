@@ -587,7 +587,13 @@ class Parser {
                           std::size_t end, int line, std::size_t params_open,
                           std::size_t /*params_close*/, bool saw_eq) {
     const Markers m = scan_markers(begin, end);
-    if (params_open != 0 && !saw_eq) {
+    // `X() = default;`, `= delete;` and a pure `= 0;` end a function
+    // declaration; their `=` is not a variable initializer.
+    const bool fn_eq =
+        end >= begin + 2 && at(end - 2).text == "=" &&
+        (is_ident(at(end - 1), "default") || is_ident(at(end - 1), "delete") ||
+         at(end - 1).text == "0");
+    if (params_open != 0 && (!saw_eq || fn_eq)) {
       // Function prototype (or most-vexing-parse variable; both are
       // fine to record as a declaration — markers merge by name).
       std::string name, qual_class;

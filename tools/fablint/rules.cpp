@@ -711,12 +711,13 @@ void rule_smallfn_spill(const Ctx& ctx) {
           continue;  // subscript
         }
         // Context: does the enclosing statement mention a SmallFn sink?
+        // run_or_defer journals its closure as a SmallFn record.
         bool sink = false;
         for (std::size_t j = i; j-- > fn.body_begin;) {
           const std::string& x = tok_at(fm, j).text;
           if (x == ";" || x == "{" || x == "}") break;
           if (x == "schedule_at" || x == "schedule_after" ||
-              x == "SmallFn" || x == "Callback") {
+              x == "run_or_defer" || x == "SmallFn" || x == "Callback") {
             sink = true;
             break;
           }

@@ -29,7 +29,7 @@ metric regressed past its tolerance.  Two kinds of checks:
      run with tracer + checker + profiler armed must reproduce the
      1-shard digest AND have run BSP epochs.  With >= 4 cores,
      `shards_armed_overhead_4` (armed 4-shard time over armed 1-shard
-     time — the cost of the observer journal's defer/copy/replay and
+     time — the cost of the observer journal's defer/replay and
      the epochs relative to inline single-wheel observation) must be
      <= 1.15x; skipped loudly below 4 cores where worker ping-pong on
      oversubscribed cores drowns the measurement.  The profiler's
