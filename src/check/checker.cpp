@@ -163,13 +163,13 @@ void InvariantChecker::on_tap(NodeId from, NodeId to, const Packet& pkt) {
   ev.obj_version = frame->obj_version;
   ev.payload_bytes = payload.size();
   ev.tenant = frame->tenant;
-  if (auto it = addr_to_node_.find(ev.src);
-      ev.src != kUnspecifiedHost && it != addr_to_node_.end()) {
-    ev.emission = it->second == from;
+  if (const NodeId* n = addr_to_node_.find(ev.src);
+      ev.src != kUnspecifiedHost && n != nullptr) {
+    ev.emission = *n == from;
   }
-  if (auto it = addr_to_node_.find(ev.dst);
-      ev.dst != kUnspecifiedHost && it != addr_to_node_.end()) {
-    ev.final_delivery = it->second == to;
+  if (const NodeId* n = addr_to_node_.find(ev.dst);
+      ev.dst != kUnspecifiedHost && n != nullptr) {
+    ev.final_delivery = *n == to;
   }
   net_.observer_journal().run_or_defer([this, ev] { on_wire_event(ev); });
 }
@@ -407,9 +407,8 @@ void InvariantChecker::on_quiesce() {
     // sender either finished or gave up; its partial will never grow).
     const SimDuration idle = rel.config().reassembly_idle;
     for (const auto& snap : rel.inbound_snapshot()) {
-      auto sit = addr_to_node_.find(snap.src);
-      const bool sender_alive =
-          sit != addr_to_node_.end() && net_.node_up(sit->second);
+      const NodeId* sender = addr_to_node_.find(snap.src);
+      const bool sender_alive = sender != nullptr && net_.node_up(*sender);
       if (sender_alive && now - snap.last_activity > idle) {
         violation(ViolationClass::leaked_reassembly, ObjectId{},
                   fmt("%s holds a partial reassembly (msg %u from %s, %u/%u "

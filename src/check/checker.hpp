@@ -50,10 +50,10 @@
 #include <set>
 #include <string>
 #include <tuple>
-#include <unordered_map>
 #include <vector>
 
 #include "check/report.hpp"
+#include "common/flat_table.hpp"
 #include "core/fetch.hpp"
 #include "core/replication.hpp"
 #include "inc/cache_stage.hpp"
@@ -117,6 +117,12 @@ class InvariantChecker {
     ReplicaManager* replicas = nullptr;
   };
   using AddrObj = std::pair<HostAddr, ObjectId>;
+  struct AddrObjHash {
+    std::size_t operator()(const AddrObj& k) const {
+      return std::hash<ObjectId>{}(k.second) ^
+             static_cast<std::size_t>(k.first * 0x9E3779B97F4A7C15ULL);
+    }
+  };
   /// (receiver/sender address, object, frame seq).
   using InvKey = std::tuple<HostAddr, ObjectId, std::uint64_t>;
   /// (sender, destination, msg id, fragment index).
@@ -140,8 +146,8 @@ class InvariantChecker {
   void on_admission(HostAddr holder, ObjectId id, std::uint64_t version,
                     const char* what);
   std::uint64_t acked_floor(HostAddr holder, ObjectId id) const {
-    auto it = acked_floor_.find({holder, id});
-    return it == acked_floor_.end() ? 0 : it->second;
+    const std::uint64_t* floor = acked_floor_.find({holder, id});
+    return floor == nullptr ? 0 : *floor;
   }
   void violation(ViolationClass cls, ObjectId object, std::string detail);
   std::string node_name(NodeId n) const;
@@ -152,12 +158,14 @@ class InvariantChecker {
   std::vector<IncCacheStage*> caches_;
   ControllerNode* controller_ = nullptr;
   /// Protocol address -> owning node (hosts, cache agents, controller).
-  /// Written only by attach_* (workers parked).
-  std::unordered_map<HostAddr, NodeId> addr_to_node_;
+  /// Written only by attach_* (workers parked).  Looked up, never
+  /// iterated.
+  FlatHashMap<HostAddr, NodeId> addr_to_node_;
 
   /// Coherence floors: highest version each holder has ACKED an
-  /// invalidate for, per object.
-  std::map<AddrObj, std::uint64_t> acked_floor_;
+  /// invalidate for, per object.  Looked up on every chunk_resp
+  /// emission, never iterated.
+  FlatHashMap<AddrObj, std::uint64_t, AddrObjHash> acked_floor_;
   /// Invalidates finally delivered but not yet matched to an ack
   /// emission, FIFO per (receiver, object, seq) — acks are emitted in
   /// delivery order, so the front is always the one being acked.

@@ -35,6 +35,15 @@ class SplitMix64 {
   std::uint64_t state_;
 };
 
+/// 64x64 -> 128-bit multiply with the high half folded onto the low
+/// (wyhash's "mum").  The lane step of the wire digest's payload fold
+/// and of the checker digest's event fold: independent lanes overlap
+/// their multiplies instead of waiting on one serial mix chain.
+inline std::uint64_t mum(std::uint64_t a, std::uint64_t b) {
+  const auto r = static_cast<unsigned __int128>(a) * b;
+  return static_cast<std::uint64_t>(r) ^ static_cast<std::uint64_t>(r >> 64);
+}
+
 /// xoshiro256** — the workhorse generator.  Fast, high quality, and
 /// deterministic across platforms (unlike std::mt19937 distributions).
 class Rng {

@@ -108,20 +108,21 @@ void TimingWheel::place(std::uint32_t idx, bool cascading) {
   }
   const std::uint64_t delta = at - tick_;  // at >= tick_ by invariant
   std::size_t level = 0;
-  while (level + 1 < kLevels &&
-         (delta >> (kWheelBits * (level + 1))) != 0) {
+  while (level + 1 < kLevels && (delta >> level_shift(level + 1)) != 0) {
     ++level;
   }
   std::size_t slot;
-  if (level == kLevels - 1 && (delta >> (kWheelBits * kLevels)) != 0) {
-    // Beyond the wheel horizon (~13 sim-days): park in the farthest
+  if ((delta >> kHorizonBits) != 0) {
+    // Beyond the wheel horizon (~208 sim-days): park in the farthest
     // top-level bucket; each cascade re-examines it.
-    slot = ((tick_ >> (kWheelBits * (kLevels - 1))) + kSlots - 1) &
-           (kSlots - 1);
+    constexpr std::size_t kTop = kLevels - 1;
+    slot = ((tick_ >> level_shift(kTop)) + level_slots(kTop) - 1) &
+           (level_slots(kTop) - 1);
   } else {
-    slot = (at >> (kWheelBits * level)) & (kSlots - 1);
+    slot = (at >> level_shift(level)) & (level_slots(level) - 1);
   }
-  Bucket& b = buckets_[level][slot];
+  const std::size_t bi = level_base(level) + slot;
+  Bucket& b = buckets_[bi];
   Entry& n = entries_[idx];
   if (level == 0 && at == tick_ && sorted_tick_ == tick_) {
     // Same-tick child landing in the bucket the cursor is draining
@@ -150,7 +151,7 @@ void TimingWheel::place(std::uint32_t idx, bool cascading) {
       entries_[prev].next = idx;
     }
     if (cur == kNoNode) b.tail = idx;
-    bits_[0][slot >> 6] |= std::uint64_t{1} << (slot & 63);
+    mark(bi);
     return;
   }
   if (cascading) {
@@ -166,15 +167,27 @@ void TimingWheel::place(std::uint32_t idx, bool cascading) {
       b.tail = idx;
     }
   }
-  bits_[level][slot >> 6] |= std::uint64_t{1} << (slot & 63);
+  mark(bi);
+}
+
+void TimingWheel::mark(std::size_t b) {
+  bits_[b >> 6] |= std::uint64_t{1} << (b & 63);
+  summary_[b >> 12] |= std::uint64_t{1} << ((b >> 6) & 63);
+}
+
+void TimingWheel::unmark(std::size_t b) {
+  if ((bits_[b >> 6] &= ~(std::uint64_t{1} << (b & 63))) == 0) {
+    summary_[b >> 12] &= ~(std::uint64_t{1} << ((b >> 6) & 63));
+  }
 }
 
 void TimingWheel::cascade(std::size_t level, std::size_t slot) {
-  Bucket& b = buckets_[level][slot];
+  const std::size_t bi = level_base(level) + slot;
+  Bucket& b = buckets_[bi];
   std::uint32_t head = b.head;
   if (head == kNoNode) return;
   b.head = b.tail = kNoNode;
-  bits_[level][slot >> 6] &= ~(std::uint64_t{1} << (slot & 63));
+  unmark(bi);
   // Reverse the list, then re-place front-first: every target bucket
   // receives its share as a prepended block in the original order.
   // Arrival order within a bucket no longer matters for execution (the
@@ -195,7 +208,7 @@ void TimingWheel::cascade(std::size_t level, std::size_t slot) {
 }
 
 void TimingWheel::sort_bucket(std::size_t slot) {
-  Bucket& b = buckets_[0][slot];
+  Bucket& b = buckets_[slot];  // level 0 starts at bucket 0
   if (b.head == kNoNode || entries_[b.head].next == kNoNode) return;
   // Copy the keys out so the comparator touches no guarded state (and
   // no pointer-chased memory).
@@ -218,28 +231,42 @@ void TimingWheel::sort_bucket(std::size_t slot) {
   b.tail = sort_scratch_.back().idx;
 }
 
+std::size_t TimingWheel::next_occupied(std::size_t from,
+                                       std::size_t end) const {
+  if (from >= end) return kNoBucket;
+  std::size_t w = from >> 6;
+  std::uint64_t word = bits_[w] & (~std::uint64_t{0} << (from & 63));
+  if (word == 0) {
+    // The rest of the range, one summary word (64 bitmap words) at a
+    // time.
+    const std::size_t wend = end >> 6;
+    std::size_t found = kNoBucket;
+    for (std::size_t sw = w + 1; sw < wend; sw = (sw | 63) + 1) {
+      std::uint64_t m = summary_[sw >> 6] & (~std::uint64_t{0} << (sw & 63));
+      const std::size_t left = wend - (sw & ~std::size_t{63});
+      if (left < 64) m &= (std::uint64_t{1} << left) - 1;
+      if (m != 0) {
+        found = (sw & ~std::size_t{63}) +
+                static_cast<std::size_t>(std::countr_zero(m));
+        break;
+      }
+    }
+    if (found == kNoBucket) return kNoBucket;
+    w = found;
+    word = bits_[w];
+  }
+  return (w << 6) + static_cast<std::size_t>(std::countr_zero(word));
+}
+
 std::uint64_t TimingWheel::first_set_from(std::size_t level,
                                           std::size_t from) const {
-  std::size_t w = from >> 6;
-  std::uint64_t word =
-      bits_[level][w] & (~std::uint64_t{0} << (from & 63));
-  for (std::size_t i = 0;; ++i) {
-    if (word != 0) {
-      const std::size_t slot =
-          (w << 6) + static_cast<std::size_t>(std::countr_zero(word));
-      return (slot + kSlots - from) & (kSlots - 1);
-    }
-    if (i == kWords) return kNoDist;
-    w = (w + 1) & (kWords - 1);
-    word = bits_[level][w];
-    if (i + 1 == kWords) {
-      // Wrapped back to the starting word: only the bits below `from`
-      // are new.
-      word &= (from & 63) != 0
-                  ? ~(~std::uint64_t{0} << (from & 63))
-                  : 0;
-    }
-  }
+  const std::size_t base = level_base(level);
+  const std::size_t end = level_base(level + 1);
+  std::size_t b = next_occupied(base + from, end);
+  // Nothing at or after `from`: wrap, so the first hit lies below it.
+  if (b == kNoBucket) b = next_occupied(base, end);
+  if (b == kNoBucket) return kNoDist;
+  return (b - base + level_slots(level) - from) & (level_slots(level) - 1);
 }
 
 SimTime TimingWheel::next_time(SimTime limit) {
@@ -250,74 +277,67 @@ SimTime TimingWheel::next_time(SimTime limit) {
   // min_bound_ honest when the scan comes up empty.
   std::uint64_t min_skip = ~std::uint64_t{0};
   for (;;) {
-    // Scan level 0 from the cursor slot to the end of the window.  Slots
-    // behind the cursor belong to the NEXT window (a delta < 1024 can
-    // wrap), so they are correctly out of scope until the advance below.
-    const std::size_t start = tick_ & (kSlots - 1);
-    std::size_t w = start >> 6;
-    std::uint64_t word = bits_[0][w] & (~std::uint64_t{0} << (start & 63));
-    for (;;) {
-      while (word != 0) {
-        const std::size_t slot =
-            (w << 6) + static_cast<std::size_t>(std::countr_zero(word));
-        const std::uint64_t at = (tick_ & ~std::uint64_t{kSlots - 1}) + slot;
-        if (at > ulimit) {
-          // Everything still pending is at `at` or later, except events
-          // in slots we skipped below.
-          min_bound_ = clamp_bound(std::min(ulimit + 1, min_skip));
-          return kNoEventTime;
-        }
-        // A slot can hold events of a later window after a cursor
-        // rollback; they fire only when the cursor wraps around to
-        // their window, so check the bucket's earliest real time.
-        // Once the bucket is sorted for this tick its head holds that
-        // minimum (sorted by `at` first, and every later insert goes
-        // through place()'s ordered fast path), so only the FIRST
-        // touch pays the walk: next_time runs once per pop, and a
-        // full re-scan here would turn a k-event tick into O(k^2).
-        std::uint64_t mn;
-        if (sorted_tick_ == at) {
-          mn = static_cast<std::uint64_t>(
-              entries_[buckets_[0][slot].head].at);
-        } else {
-          // One walk doubles as a sortedness probe: schedule order
-          // usually IS key order (parents execute in key order and
-          // append their children in turn), and a bucket that arrives
-          // sorted skips sort_bucket wholesale — the difference
-          // between paying O(k log k) per tick and paying one
-          // comparison per event.
-          mn = ~std::uint64_t{0};
-          bool in_order = true;
-          const Entry* prev = nullptr;
-          for (std::uint32_t i = buckets_[0][slot].head; i != kNoNode;
-               i = entries_[i].next) {
-            const Entry& e = entries_[i];
-            mn = std::min(mn, static_cast<std::uint64_t>(e.at));
-            if (prev != nullptr &&
-                (prev->at > e.at ||
-                 (prev->at == e.at &&
-                  (prev->key_a > e.key_a ||
-                   (prev->key_a == e.key_a && prev->key_b > e.key_b))))) {
-              in_order = false;
-            }
-            prev = &e;
-          }
-          if (in_order && mn == at) sorted_tick_ = at;
-        }
-        if (mn == at) {
-          if (sorted_tick_ != at) {
-            sort_bucket(slot);
-            sorted_tick_ = at;
-          }
-          tick_ = at;
-          min_bound_ = static_cast<SimTime>(at);
-          return static_cast<SimTime>(at);
-        }
-        min_skip = std::min(min_skip, mn);
-        word &= word - 1;  // future-window slot: keep scanning
+    // Scan level 0 from the cursor slot to the end of the window, one
+    // occupied slot at a time.  Slots behind the cursor belong to the
+    // NEXT window (a delta below the window can wrap), so they are
+    // correctly out of scope until the advance below.
+    constexpr std::size_t kSlots0 = level_slots(0);
+    const std::uint64_t window = tick_ & ~std::uint64_t{kSlots0 - 1};
+    for (std::size_t slot = next_occupied(tick_ & (kSlots0 - 1), kSlots0);
+         slot != kNoBucket; slot = next_occupied(slot + 1, kSlots0)) {
+      const std::uint64_t at = window + slot;
+      if (at > ulimit) {
+        // Everything still pending is at `at` or later, except events
+        // in slots we skipped below.
+        min_bound_ = clamp_bound(std::min(ulimit + 1, min_skip));
+        return kNoEventTime;
       }
-      if (++w == kWords) break;
-      word = bits_[0][w];
+      // A slot can hold events of a later window after a cursor
+      // rollback; they fire only when the cursor wraps around to
+      // their window, so check the bucket's earliest real time.
+      // Once the bucket is sorted for this tick its head holds that
+      // minimum (sorted by `at` first, and every later insert goes
+      // through place()'s ordered fast path), so only the FIRST
+      // touch pays the walk: next_time runs once per pop, and a
+      // full re-scan here would turn a k-event tick into O(k^2).
+      std::uint64_t mn;
+      if (sorted_tick_ == at) {
+        mn = static_cast<std::uint64_t>(entries_[buckets_[slot].head].at);
+      } else {
+        // One walk doubles as a sortedness probe: schedule order
+        // usually IS key order (parents execute in key order and
+        // append their children in turn), and a bucket that arrives
+        // sorted skips sort_bucket wholesale — the difference
+        // between paying O(k log k) per tick and paying one
+        // comparison per event.
+        mn = ~std::uint64_t{0};
+        bool in_order = true;
+        const Entry* prev = nullptr;
+        for (std::uint32_t i = buckets_[slot].head; i != kNoNode;
+             i = entries_[i].next) {
+          const Entry& e = entries_[i];
+          mn = std::min(mn, static_cast<std::uint64_t>(e.at));
+          if (prev != nullptr &&
+              (prev->at > e.at ||
+               (prev->at == e.at &&
+                (prev->key_a > e.key_a ||
+                 (prev->key_a == e.key_a && prev->key_b > e.key_b))))) {
+            in_order = false;
+          }
+          prev = &e;
+        }
+        if (in_order && mn == at) sorted_tick_ = at;
+      }
+      if (mn == at) {
+        if (sorted_tick_ != at) {
+          sort_bucket(slot);
+          sorted_tick_ = at;
+        }
+        tick_ = at;
+        min_bound_ = static_cast<SimTime>(at);
+        return static_cast<SimTime>(at);
+      }
+      min_skip = std::min(min_skip, mn);  // future-window slot
     }
     // Window exhausted: jump to the next tick where anything can
     // happen — the earliest of (a) the cursor reaching an occupied
@@ -326,17 +346,17 @@ SimTime TimingWheel::next_time(SimTime limit) {
     // no-ops by construction (their buckets are empty), so skipping
     // them wholesale is exact, and a far-future timer costs O(levels)
     // bitmap scans instead of one iteration per empty window.
-    const std::uint64_t next_window = (tick_ | (kSlots - 1)) + 1;
+    const std::uint64_t next_window = window + kSlots0;
     std::uint64_t target = ~std::uint64_t{0};
     const std::uint64_t d0 = first_set_from(0, 0);
     if (d0 != kNoDist) target = next_window + d0;
     for (std::size_t lv = 1; lv < kLevels; ++lv) {
-      std::uint64_t c0 = next_window >> (kWheelBits * lv);
-      if ((c0 << (kWheelBits * lv)) != next_window) ++c0;
-      const std::uint64_t d =
-          first_set_from(lv, static_cast<std::size_t>(c0 & (kSlots - 1)));
+      std::uint64_t c0 = next_window >> level_shift(lv);
+      if ((c0 << level_shift(lv)) != next_window) ++c0;
+      const std::uint64_t d = first_set_from(
+          lv, static_cast<std::size_t>(c0 & (level_slots(lv) - 1)));
       if (d == kNoDist) continue;
-      target = std::min(target, (c0 + d) << (kWheelBits * lv));
+      target = std::min(target, (c0 + d) << level_shift(lv));
     }
     if (target > ulimit) {
       min_bound_ = clamp_bound(std::min(ulimit + 1, min_skip));
@@ -344,10 +364,9 @@ SimTime TimingWheel::next_time(SimTime limit) {
     }
     tick_ = target;
     for (std::size_t lv = kLevels - 1; lv >= 1; --lv) {
-      const std::uint64_t mask =
-          (std::uint64_t{1} << (kWheelBits * lv)) - 1;
+      const std::uint64_t mask = (std::uint64_t{1} << level_shift(lv)) - 1;
       if ((tick_ & mask) == 0) {
-        cascade(lv, (tick_ >> (kWheelBits * lv)) & (kSlots - 1));
+        cascade(lv, (tick_ >> level_shift(lv)) & (level_slots(lv) - 1));
       }
     }
   }
@@ -355,13 +374,13 @@ SimTime TimingWheel::next_time(SimTime limit) {
 
 void TimingWheel::pop_run_raw() {
   shard_.assert_held();
-  const std::size_t slot = tick_ & (kSlots - 1);
-  Bucket& b = buckets_[0][slot];
+  const std::size_t slot = tick_ & (level_slots(0) - 1);
+  Bucket& b = buckets_[slot];
   const std::uint32_t idx = b.head;
   b.head = entries_[idx].next;
   if (b.head == kNoNode) {
     b.tail = kNoNode;
-    bits_[0][slot >> 6] &= ~(std::uint64_t{1} << (slot & 63));
+    unmark(slot);
   } else {
     // Hide the next node's cache miss behind this callback's execution.
     __builtin_prefetch(&entries_[b.head]);
@@ -391,7 +410,7 @@ void TimingWheel::pop_run_raw() {
 void TimingWheel::drain_current_tick_raw() {
   shard_.assert_held();
   while (sorted_tick_ == tick_) {
-    const std::uint32_t h = buckets_[0][tick_ & (kSlots - 1)].head;
+    const std::uint32_t h = buckets_[tick_ & (level_slots(0) - 1)].head;
     if (h == kNoNode ||
         static_cast<std::uint64_t>(entries_[h].at) != tick_) {
       break;
@@ -425,6 +444,19 @@ std::size_t TimingWheel::outbox_depth() const {
   return outbox_.size();
 }
 
+bool TimingWheel::occupancy_consistent_for_test() const {
+  shard_.assert_held();
+  for (std::size_t b = 0; b < kBuckets; ++b) {
+    const bool bit = ((bits_[b >> 6] >> (b & 63)) & 1) != 0;
+    if (bit != (buckets_[b].head != kNoNode)) return false;
+  }
+  for (std::size_t w = 0; w < kWords; ++w) {
+    const bool bit = ((summary_[w >> 6] >> (w & 63)) & 1) != 0;
+    if (bit != (bits_[w] != 0)) return false;
+  }
+  return true;
+}
+
 std::size_t TimingWheel::drain_outbox() {
   shard_.assert_held();  // workers parked: the coordinator holds every wheel
   const std::size_t n = outbox_.size();
@@ -434,21 +466,16 @@ std::size_t TimingWheel::drain_outbox() {
 
 void TimingWheel::extract_all(std::vector<Extracted>& out) {
   shard_.assert_held();
-  for (std::size_t lv = 0; lv < kLevels; ++lv) {
-    for (std::size_t slot = 0; slot < kSlots; ++slot) {
-      for (std::uint32_t i = buckets_[lv][slot].head; i != kNoNode;
-           i = entries_[i].next) {
-        const Entry& e = entries_[i];
-        out.push_back(
-            Extracted{e.at, e.key_a, e.key_b, e.exec_src,
-                      std::move(fn_at(i))});
-      }
-      buckets_[lv][slot] = Bucket{};
+  for (Bucket& b : buckets_) {
+    for (std::uint32_t i = b.head; i != kNoNode; i = entries_[i].next) {
+      const Entry& e = entries_[i];
+      out.push_back(
+          Extracted{e.at, e.key_a, e.key_b, e.exec_src, std::move(fn_at(i))});
     }
+    b = Bucket{};
   }
-  for (auto& words : bits_) {
-    for (auto& word : words) word = 0;
-  }
+  for (auto& word : bits_) word = 0;
+  for (auto& word : summary_) word = 0;
   entries_.clear();
   fn_chunks_.clear();
   free_head_ = kNoNode;

@@ -7,9 +7,13 @@
 // traces and the figure benches are exactly reproducible (DESIGN.md §7).
 //
 // Hot-path layout (DESIGN.md §14): each ready queue is a hierarchical
-// timing wheel (calendar queue) over pool-allocated event nodes.  Five
-// levels of 1024 buckets cover deltas up to 2^50 ns; a level-0 bucket
-// spans exactly one tick.  Callbacks are SmallFn (common/small_fn.hpp),
+// timing wheel (calendar queue) over pool-allocated event nodes.  Level
+// 0 has 2^14 one-tick buckets, so a link delivery (latency plus
+// serialization, tens of microseconds) is filed straight into the bucket
+// it pops from; levels 1-4 have 1024 buckets each, for deltas up to
+// 2^54 ns.  Per-level occupancy bitmaps plus a summary word per 64
+// bitmap words let the scan jump to the next occupied bucket in a few
+// word loads.  Callbacks are SmallFn (common/small_fn.hpp),
 // so the fabric's transmit/pipeline closures are stored inline:
 // steady-state scheduling performs no heap allocation, and popping
 // invokes the callback in place (the old std::priority_queue required a
@@ -121,6 +125,10 @@ class TimingWheel {
 
   /// Cross-wheel handoffs parked in the outbox (barrier-time sampling).
   std::size_t outbox_depth() const;
+  /// Test hook: every occupancy bit is set exactly when its bucket is
+  /// non-empty, and every summary bit exactly when its bitmap word is
+  /// non-zero.
+  bool occupancy_consistent_for_test() const;
   /// Handoffs that had to grow the outbox.
   std::uint64_t outbox_grows() const { return outbox_grows_; }
 
@@ -141,10 +149,36 @@ class TimingWheel {
 
  private:
   static constexpr std::uint32_t kNoNode = 0xFFFFFFFFu;
-  static constexpr unsigned kWheelBits = 10;
-  static constexpr std::size_t kSlots = std::size_t{1} << kWheelBits;
-  static constexpr std::size_t kLevels = 5;  // covers deltas < 2^50 ns
-  static constexpr std::size_t kWords = kSlots / 64;
+  /// Level 0: one-tick buckets, 2^14 of them (16.4 us), so a delivery
+  /// lands in the bucket it pops from instead of cascading.
+  static constexpr unsigned kLevel0Bits = 14;
+  /// Levels 1..4: 1024 buckets, each spanning a whole level below.
+  static constexpr unsigned kUpperBits = 10;
+  static constexpr std::size_t kLevels = 5;
+  static constexpr unsigned level_bits(std::size_t lv) {
+    return lv == 0 ? kLevel0Bits : kUpperBits;
+  }
+  static constexpr std::size_t level_slots(std::size_t lv) {
+    return std::size_t{1} << level_bits(lv);
+  }
+  /// log2 of the ticks one bucket at `lv` spans.
+  static constexpr unsigned level_shift(std::size_t lv) {
+    return lv == 0 ? 0
+                   : kLevel0Bits + kUpperBits * static_cast<unsigned>(lv - 1);
+  }
+  /// Index of level `lv`'s slot 0 in buckets_ (one flat array; every
+  /// level starts on a 64-bucket boundary, so its bitmap words are
+  /// contiguous too).
+  static constexpr std::size_t level_base(std::size_t lv) {
+    return lv == 0 ? 0 : level_slots(0) + (lv - 1) * level_slots(1);
+  }
+  static constexpr unsigned kHorizonBits =
+      kLevel0Bits + kUpperBits * (kLevels - 1);  // 54
+  static constexpr std::size_t kBuckets =
+      (std::size_t{1} << kLevel0Bits) +
+      (kLevels - 1) * (std::size_t{1} << kUpperBits);
+  static constexpr std::size_t kWords = kBuckets / 64;
+  static constexpr std::size_t kSummaryWords = (kWords + 63) / 64;
   static constexpr std::uint64_t kNoTick = ~std::uint64_t{0};
 
   /// Event nodes are pool-allocated and linked into bucket lists; `next`
@@ -181,11 +215,21 @@ class TimingWheel {
   void place(std::uint32_t idx, bool cascading) REQUIRES_SHARD(shard_);
   /// Redistribute a higher-level bucket into the levels below.
   void cascade(std::size_t level, std::size_t slot) REQUIRES_SHARD(shard_);
+  /// Set / clear bucket `b`'s occupancy bit, keeping the summary bit of
+  /// its bitmap word equal to "word is non-zero".
+  void mark(std::size_t b) REQUIRES_SHARD(shard_);
+  void unmark(std::size_t b) REQUIRES_SHARD(shard_);
+  /// First occupied bucket index in [from, end), or kNoBucket.  `end`
+  /// is a level boundary (a multiple of 64).  At most one bitmap word,
+  /// the summary words over the range, and one more bitmap word.
+  static constexpr std::size_t kNoBucket = ~std::size_t{0};
+  std::size_t next_occupied(std::size_t from, std::size_t end) const
+      REQUIRES_SHARD(shard_);
   /// Circular distance (in slots, 0-based) from `from` to the first
   /// occupied slot at `level`, or kNoDist when the level is empty.
   /// Powers next_time's empty-window skip: the cursor jumps straight to
   /// the next slot arrival / cascade boundary instead of walking every
-  /// 1024-tick window (a 2^40 ns timer would otherwise cost 2^30 empty
+  /// level-0 window (a 2^40 ns timer would otherwise cost 2^26 empty
   /// scans).
   static constexpr std::uint64_t kNoDist = ~std::uint64_t{0};
   std::uint64_t first_set_from(std::size_t level, std::size_t from) const
@@ -249,8 +293,12 @@ class TimingWheel {
   std::uint64_t clamped_past_schedules_ = 0;
   bool strict_past_schedules_ = false;
   ShardCap shard_;
-  Bucket buckets_[kLevels][kSlots] SHARD_GUARDED_BY(shard_);
-  std::uint64_t bits_[kLevels][kWords] SHARD_GUARDED_BY(shard_) = {};
+  /// Every level's buckets, level by level (see level_base).
+  Bucket buckets_[kBuckets] SHARD_GUARDED_BY(shard_);
+  /// Occupancy: bit b set iff buckets_[b] is non-empty.
+  std::uint64_t bits_[kWords] SHARD_GUARDED_BY(shard_) = {};
+  /// Occupancy summary: bit w set iff bits_[w] is non-zero.
+  std::uint64_t summary_[kSummaryWords] SHARD_GUARDED_BY(shard_) = {};
   std::vector<Entry> entries_ SHARD_GUARDED_BY(shard_);
   std::vector<std::unique_ptr<Callback[]>> fn_chunks_
       SHARD_GUARDED_BY(shard_);

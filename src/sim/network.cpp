@@ -29,12 +29,6 @@ constexpr std::uint64_t kLaneKey[4] = {
     0xa0761d6478bd642full, 0xe7037ed1a0b428dbull, 0x8ebc6af09c88c6e3ull,
     0x589965cc75374cc3ull};
 
-/// 64x64 -> 128-bit multiply with the high half folded onto the low.
-inline std::uint64_t mum(std::uint64_t a, std::uint64_t b) {
-  const auto r = static_cast<unsigned __int128>(a) * b;
-  return static_cast<std::uint64_t>(r) ^ static_cast<std::uint64_t>(r >> 64);
-}
-
 inline std::uint64_t load64(const std::uint8_t* p) {
   std::uint64_t v;
   std::memcpy(&v, p, sizeof v);

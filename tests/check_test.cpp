@@ -9,8 +9,12 @@
 // so a detection is an inspectable Violation record instead of a crash.
 #include <gtest/gtest.h>
 
+#include <initializer_list>
 #include <memory>
+#include <tuple>
+#include <vector>
 
+#include "check/wire.hpp"
 #include "core/cluster.hpp"
 #include "inc/cache_stage.hpp"
 
@@ -365,6 +369,105 @@ TEST(CheckTest, HostBeforeCacheInvalidateOrderDetected) {
   ASSERT_FALSE(cluster->checker()->violations().empty());
   EXPECT_EQ(cluster->checker()->violations().back().cls,
             ViolationClass::invalidate_order);
+}
+
+// --- Checker digest --------------------------------------------------------
+
+/// Flip `bit` of a field of any integral or enum type.
+template <typename T>
+void flip_bit(T& field, unsigned bit) {
+  field = static_cast<T>(static_cast<std::uint64_t>(field) ^
+                         (std::uint64_t{1} << bit));
+}
+
+std::uint64_t digest_of(std::initializer_list<check::WireEvent> events) {
+  check::Digest d;
+  for (const check::WireEvent& ev : events) d.fold_event(ev);
+  return d.value();
+}
+
+TEST(CheckDigest, EveryFieldItsPositionAndEventOrderChangeIt) {
+  check::WireEvent first;
+  first.at = 2'512'581'831;
+  first.from = 3;
+  first.to = 9;
+  first.type = MsgType::chunk_resp;
+  first.src = 11;
+  first.dst = 13;
+  first.object = ObjectId(0x0123456789abcdefULL, 0xfedcba9876543210ULL);
+  first.seq = 17;
+  first.offset = 4096;
+  first.length = 1024;
+  first.epoch = 2;
+  first.obj_version = 160;
+  first.payload_bytes = 1024;
+  first.tenant = 1;
+  check::WireEvent second = first;
+  second.at += 1000;
+  second.from = first.to;
+  second.to = first.from;
+  second.type = MsgType::invalidate_ack;
+  second.seq = 18;
+  const std::uint64_t ref = digest_of({first, second});
+
+  // Every field, with its bit width: bit 0 and the top bit of each.
+  using Flip = void (*)(check::WireEvent&, unsigned);
+  const std::vector<std::tuple<const char*, unsigned, Flip>> fields = {
+      {"at", 64, [](check::WireEvent& e, unsigned b) { flip_bit(e.at, b); }},
+      {"from", 32,
+       [](check::WireEvent& e, unsigned b) { flip_bit(e.from, b); }},
+      {"to", 32, [](check::WireEvent& e, unsigned b) { flip_bit(e.to, b); }},
+      {"type", 8, [](check::WireEvent& e, unsigned b) { flip_bit(e.type, b); }},
+      {"src", 64, [](check::WireEvent& e, unsigned b) { flip_bit(e.src, b); }},
+      {"dst", 64, [](check::WireEvent& e, unsigned b) { flip_bit(e.dst, b); }},
+      {"object.hi", 64,
+       [](check::WireEvent& e, unsigned b) { flip_bit(e.object.value.hi, b); }},
+      {"object.lo", 64,
+       [](check::WireEvent& e, unsigned b) { flip_bit(e.object.value.lo, b); }},
+      {"seq", 64, [](check::WireEvent& e, unsigned b) { flip_bit(e.seq, b); }},
+      {"offset", 64,
+       [](check::WireEvent& e, unsigned b) { flip_bit(e.offset, b); }},
+      {"length", 32,
+       [](check::WireEvent& e, unsigned b) { flip_bit(e.length, b); }},
+      {"epoch", 32,
+       [](check::WireEvent& e, unsigned b) { flip_bit(e.epoch, b); }},
+      {"obj_version", 64,
+       [](check::WireEvent& e, unsigned b) { flip_bit(e.obj_version, b); }},
+      {"payload_bytes", 64,
+       [](check::WireEvent& e, unsigned b) { flip_bit(e.payload_bytes, b); }},
+      {"tenant", 32,
+       [](check::WireEvent& e, unsigned b) { flip_bit(e.tenant, b); }},
+  };
+  ASSERT_EQ(fields.size(), 15u);
+  for (const auto& [name, width, flip] : fields) {
+    for (unsigned bit : {0u, width - 1}) {
+      check::WireEvent a = first;
+      flip(a, bit);
+      EXPECT_NE(digest_of({a, second}), ref) << name << " bit " << bit;
+      check::WireEvent b = second;
+      flip(b, bit);
+      EXPECT_NE(digest_of({first, b}), ref)
+          << name << " bit " << bit << " (second event)";
+    }
+  }
+
+  // Same-typed fields trade places.
+  check::WireEvent swapped = first;
+  std::swap(swapped.seq, swapped.offset);
+  EXPECT_NE(digest_of({swapped, second}), ref) << "seq <-> offset";
+  swapped = first;
+  std::swap(swapped.src, swapped.dst);
+  EXPECT_NE(digest_of({swapped, second}), ref) << "src <-> dst";
+  swapped = first;
+  std::swap(swapped.from, swapped.to);
+  EXPECT_NE(digest_of({swapped, second}), ref) << "from <-> to";
+  swapped = first;
+  std::swap(swapped.length, swapped.epoch);
+  EXPECT_NE(digest_of({swapped, second}), ref) << "length <-> epoch";
+
+  // The events trade places.
+  EXPECT_NE(digest_of({second, first}), ref) << "event order";
+  EXPECT_EQ(digest_of({first, second}), ref);
 }
 
 }  // namespace

@@ -15,8 +15,9 @@ exactly the regression this test exists to catch.  Asserts:
     state, the laned frame-id / pool free-list arrays, the observer
     journal's lanes (the one barrier-merge buffer: the wire digest
     folds through it too), and the timing-wheel capability guards —
-    the buckets and the outbox that carries every cross-shard handoff
-    to the barrier.  (Tracer ids are per-NODE, not per-lane — they
+    the buckets, the occupancy summary the next-event search reads,
+    and the outbox that carries every cross-shard handoff to the
+    barrier.  (Tracer ids are per-NODE, not per-lane — they
     feed the wire digest and must stay shard-count-invariant — so they
     are deliberately absent.)
 
@@ -73,6 +74,8 @@ def main() -> int:
          "the observer journal's lanes (the one barrier-merge buffer)"),
         ("shard_guarded_state", "objrpc::TimingWheel::buckets_",
          "TimingWheel buckets"),
+        ("shard_guarded_state", "objrpc::TimingWheel::summary_",
+         "the wheels' occupancy summaries"),
         ("shard_guarded_state", "objrpc::TimingWheel::outbox_",
          "the wheels' cross-shard handoff outboxes"),
     ]

@@ -3,13 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <memory>
+#include <set>
 #include <tuple>
 
 #include "common/rng.hpp"
 #include "sim/event_loop.hpp"
 #include "sim/network.hpp"
 #include "sim/pipeline.hpp"
+#include "sim/shard.hpp"
 #include "sim/switch_node.hpp"
 #include "sim/topology.hpp"
 
@@ -335,6 +338,222 @@ TEST(NetworkDeathTest, NodeUpFromNodeCallbackAbortsWithStrictOff) {
   net.loop().set_strict_past_schedules(false);
   net.schedule_on(a.id(), 10, [&net, &b] { net.set_node_up(b.id(), false); });
   EXPECT_DEATH(net.loop().run(), "control-plane only");
+}
+
+// --- TimingWheel: differential against an ordered reference -----------------
+
+/// A canonical event key: (at, key_a, key_b).
+using WheelKey = std::tuple<SimTime, std::uint64_t, std::uint64_t>;
+
+/// Delays on every level edge of the wheel (level 0 holds deltas below
+/// 2^14, level l >= 1 below 2^(14 + 10 l), 2^54 is the horizon), plus
+/// the edges a 2^10-slot level 0 would have.
+const std::vector<SimTime>& wheel_edge_delays() {
+  static const std::vector<SimTime> delays = [] {
+    std::vector<SimTime> v = {0, 1, 63, 64, 65};
+    for (unsigned bits : {10u, 14u, 20u, 24u, 34u, 44u, 54u, 55u}) {
+      const SimTime e = SimTime{1} << bits;
+      v.insert(v.end(), {e - 1, e, e + 1});
+    }
+    return v;
+  }();
+  return delays;
+}
+
+/// One standalone wheel driven with explicit keys beside a reference
+/// set ordered by (at, key_a, key_b).  Every pop must be the reference
+/// minimum, at its own time.  key_b is a global counter, so keys are
+/// unique and a same-tick child's key is above its parent's.  The wheel
+/// is advanced one reference time at a time and the harness stops at
+/// the first mismatch, so a wheel that lost an event fails before it
+/// can spend the rest of the run scanning toward a far timer.
+class WheelDifferential {
+ public:
+  explicit WheelDifferential(std::uint64_t seed) : rng_(seed) {}
+
+  bool failed() const { return failed_; }
+
+  /// One round at clock `t`: schedule a batch; maybe peek at the next
+  /// event (which parks the cursor on it, however far ahead, as the
+  /// parallel runner's M-peek does) and schedule behind the cursor;
+  /// maybe extract and re-insert everything; then run to a limit on a
+  /// window edge.  Returns the new clock.
+  SimTime round(SimTime t) {
+    for (int i = 0; i < 24; ++i) add(t + random_delay(), rng_.next_u64(), t);
+    if (const SimTime head = min_time(); rng_.next_below(3) == 0) {
+      expect(wheel_.next_time(head) == head, "peek");
+      // Handoffs re-homed at a barrier carry floor = at.
+      for (int i = 0; i < 8 && head > t; ++i) {
+        const SimTime at =
+            t + static_cast<SimTime>(rng_.next_below(
+                    static_cast<std::uint64_t>(head - t)));
+        add(at, rng_.next_u64(), at);
+      }
+    }
+    if (rng_.next_below(8) == 0) {
+      // Lift everything out and put it back, keys intact, as a
+      // partition change does.
+      std::vector<TimingWheel::Extracted> out;
+      wheel_.extract_all(out);
+      expect(out.size() == ref_.size() && wheel_.empty() &&
+                 wheel_.occupancy_consistent_for_test(),
+             "extract_all");
+      for (auto& e : out) {
+        wheel_.schedule(e.at, e.key_a, e.key_b, e.exec_src, e.at,
+                        std::move(e.fn));
+      }
+    }
+    const SimTime edge = SimTime{1} << (rng_.next_below(2) == 0 ? 14 : 24);
+    const SimTime limit =
+        rng_.next_below(2) == 0
+            ? (t / edge + 1) * edge - 1 +
+                  static_cast<SimTime>(rng_.next_below(3))
+            : t + random_delay();
+    run_to(limit);
+    expect(failed_ || wheel_.next_time(limit) == kNoEventTime, "limit");
+    expect(wheel_.pending() == ref_.size(), "pending count");
+    wheel_.set_now(limit);
+    return limit;
+  }
+
+  void finish() {
+    run_to(std::numeric_limits<SimTime>::max());
+    expect(ref_.empty() && wheel_.empty(), "drained");
+    expect(wheel_.events_executed() == last_key_b_, "executed count");
+  }
+
+ private:
+  /// Schedule at `at` from a scheduler whose clock reads `floor`.
+  void add(SimTime at, std::uint64_t key_a, SimTime floor) {
+    const WheelKey k{at, key_a, ++last_key_b_};
+    ref_.insert(k);
+    wheel_.schedule(at, key_a, std::get<2>(k), kExternalSource, floor,
+                    [this, k] { ran(k); });
+  }
+
+  SimTime random_delay() {
+    const auto& edges = wheel_edge_delays();
+    if (rng_.next_below(2) == 0) return edges[rng_.next_below(edges.size())];
+    const unsigned bits = 4 + 5 * static_cast<unsigned>(rng_.next_below(5));
+    return static_cast<SimTime>(rng_.next_below(std::uint64_t{1} << bits));
+  }
+
+  /// Run every event up to `limit`, one reference time at a time.
+  void run_to(SimTime limit) {
+    for (SimTime m = min_time(); !failed_ && m != kNoEventTime && m <= limit;
+         m = min_time()) {
+      expect(wheel_.next_time(m) == m, "next event time");
+      if (failed_) return;
+      wheel_.run_until(m);
+      expect(min_time() == kNoEventTime || min_time() > m, "ran every due");
+      expect(wheel_.occupancy_consistent_for_test(), "occupancy bits");
+    }
+  }
+
+  void ran(const WheelKey& k) {
+    expect(!ref_.empty() && k == *ref_.begin(), "key order");
+    expect(wheel_.now() == std::get<0>(k), "execution time");
+    ref_.erase(k);
+    const SimTime now = std::get<0>(k);
+    switch (rng_.next_below(8)) {
+      case 0:  // same tick, same key_a: right behind its parent
+        add(now, std::get<1>(k), now);
+        break;
+      case 1:  // same tick, later key_a: possibly behind its siblings
+        add(now, std::get<1>(k) + 1 + rng_.next_below(1u << 20), now);
+        break;
+      case 2:
+        add(now + random_delay(), rng_.next_u64(), now);
+        break;
+      default:
+        break;
+    }
+  }
+
+  void expect(bool ok, const char* what) {
+    if (ok || failed_) return;
+    failed_ = true;
+    ADD_FAILURE() << what << " diverged from the reference at "
+                  << wheel_.now();
+  }
+
+  SimTime min_time() const {
+    return ref_.empty() ? kNoEventTime : std::get<0>(*ref_.begin());
+  }
+
+  Rng rng_;
+  EventLoop loop_;  // owner of the scheduling context the wheel sets
+  TimingWheel wheel_{&loop_, 0};
+  std::set<WheelKey> ref_;
+  std::uint64_t last_key_b_ = 0;
+  bool failed_ = false;
+};
+
+TEST(TimingWheel, MatchesOrderedReferenceOnRandomSchedules) {
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    auto h = std::make_unique<WheelDifferential>(seed);
+    SimTime t = 0;
+    for (int r = 0; r < 40 && !h->failed(); ++r) t = h->round(t);
+    if (!h->failed()) h->finish();
+    ASSERT_FALSE(h->failed()) << "seed " << seed;
+  }
+}
+
+/// Node a routes events to node b; b's wheel is idle except for one far
+/// timer.  At K = 2 the runner's M-peek parks b's cursor on that timer,
+/// so every handoff lands behind the cursor at the barrier (a cursor
+/// rollback).  Returns b's execution log.
+std::vector<WheelKey> routed_into_idle_wheel(std::uint32_t shards) {
+  Network net(5);
+  const NodeId a = net.add_node<SinkNode>("a").id();
+  const NodeId b = net.add_node<SinkNode>("b").id();
+  LinkParams link;
+  link.latency = kMicrosecond;
+  net.connect(a, b, link);
+  if (shards > 1) {
+    ShardPlan plan;
+    plan.shards = shards;
+    plan.shard_of = {0, 1};
+    plan.lookahead = ShardPlan::min_cross_latency(net, plan.shard_of);
+    EXPECT_EQ(net.enable_sharding(plan), shards);
+  }
+  std::vector<WheelKey> log;
+  auto record = [&net, &log] {
+    std::uint64_t ka = 0, kb = 0;
+    EventLoop::current_event_key(ka, kb);
+    log.emplace_back(net.now(), ka, kb);
+  };
+  // Shares its level-0 slot, one window later, with the first send's
+  // delivery (at 77 + L + 4 * 2^14).
+  const SimTime far = 5 * (SimTime{1} << 14) + 77 + kMicrosecond;
+  net.schedule_on(b, far, record);
+  Rng rng(11);
+  const auto& edges = wheel_edge_delays();
+  for (std::size_t i = 0; i < 96; ++i) {
+    // Sends collide on a few ticks, so deliveries do too.
+    const SimTime send =
+        i == 0 ? 77 : static_cast<SimTime>(rng.next_below(8)) * 4093;
+    const SimTime d = i < edges.size() && edges[i] < (SimTime{1} << 20)
+                          ? edges[i]
+                          : static_cast<SimTime>(rng.next_below(1u << 18));
+    const SimTime delay = kMicrosecond + (i == 0 ? 4 * (SimTime{1} << 14) : d);
+    net.schedule_on(a, send, [&net, &record, b, delay] {
+      net.loop().schedule_routed(b, net.now() + delay, record);
+    });
+  }
+  net.loop().run();
+  if (shards > 1) {
+    EXPECT_GT(net.runner()->epochs(), 0u);
+  }
+  return log;
+}
+
+TEST(TimingWheel, RollbackOfAnIdleWheelKeepsKeyOrderAtTwoShards) {
+  const std::vector<WheelKey> base = routed_into_idle_wheel(1);
+  EXPECT_EQ(base.size(), 97u);
+  EXPECT_TRUE(std::is_sorted(base.begin(), base.end()));
+  EXPECT_TRUE(std::adjacent_find(base.begin(), base.end()) == base.end());
+  EXPECT_EQ(routed_into_idle_wheel(2), base);
 }
 
 // --- Wire digest ----------------------------------------------------------------
